@@ -17,20 +17,18 @@ from .terms import (Const, Shift, Fq, Fo, Decomposition, term_size, term_rank,
                     term_paths, term_apply_aut, parse_term, term_to_str,
                     enumerate_terms, is_singleton, singleton_value,
                     SingletonTermError, NotAutomorphismError, TermParseError)
-from .labeled_trees import (LabeledTree, LabeledForest, hom_leq,
-                            forest_hom_leq, hom_leq_exhaustive, tree_to_dot)
+from .labeled_trees import LabeledTree, hom_leq, hom_leq_exhaustive, tree_to_dot
 from .spaces import (FinSpace, ContMap, QPartition, sierpinski, discrete,
                      chain_space, product, is_cos, is_meager,
                      is_meager_bruteforce, cat_quantifier, wadge_leq,
                      enum_cos, enumerate_posets, monotone_maps,
                      mask_points, points_mask, NotOpenSurjectionError,
                      DifferentSpacesError, DifferentQError)
-from .hierarchy import (Base, borel, base_shift, base_restrict, TFamily,
-                        components, reduce_tfamily, trivial_tfamily,
-                        level_has_reduction, UFamily, WHOLE, NotDetermined,
+from .hierarchy import (Base, borel, TFamily, components, reduce_tfamily,
+                        trivial_tfamily, level_has_reduction, UFamily, WHOLE, NotDetermined,
                         validate_family, family_eval, family_restrict,
                         family_reduct, family_pullback, family_pushforward,
-                        member, member_enum, enumerate_families, level_set,
+                        member, enumerate_families, level_set, level_set_enum,
                         InvalidFamilyError, NoReductError, NodeNotInTreeError)
 from .suites import SuiteConfig, SuiteReport, run_suite, UnknownSuiteError
 

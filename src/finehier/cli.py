@@ -13,7 +13,7 @@ import sys
 from .hierarchy import (borel, Base, member, level_set, family_eval,
                         family_reduct, family_pullback, family_pushforward,
                         family_from_json, family_to_json, NotDetermined)
-from .labeled_trees import LabeledTree, hom_leq, tree_to_dot
+from .labeled_trees import LabeledTree, hom_leq, tree_to_dot, node_key
 from .ordinals import parse_ordinal, ord_to_str, ord_add, ord_cmp, ord_star, f_map, wadge_to_str
 from .quasiorder import Quasiorder, antichain
 from .spaces import (FinSpace, ContMap, QPartition, is_meager, cat_quantifier,
@@ -103,7 +103,7 @@ def _cmd_fmap(args):
 
 
 def _path_key(seq):
-    return ";".join("".join(str(i) for i in node) or "e" for node in seq)
+    return ";".join(node_key(node) or "e" for node in seq)
 
 
 def _cmd_term(args):
@@ -134,9 +134,8 @@ def _cmd_term(args):
                 fh.write(tree_to_dot(tree, label_str=label))
             print(f"wrote {args.dot}")
         else:
-            doc = {"nodes": ["".join(str(i) for i in n) for n in tree.nodes],
-                   "labels": {"".join(str(i) for i in n): label(tree.labels[n])
-                              for n in tree.nodes}}
+            doc = tree.to_json()
+            doc["labels"] = {k: label(l) for k, l in doc["labels"].items()}
             _emit(args, doc, json.dumps(doc, sort_keys=True))
     return 0
 

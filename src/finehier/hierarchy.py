@@ -17,8 +17,8 @@ components containing it -- at most one partition arises, and reduced
 families (pairwise disjoint siblings everywhere) always determine one.
 
 ``member`` decides whether a partition arises from *some* family over a
-base, by structural recursion on the term; ``member_enum`` is the direct
-enumeration cross-oracle.
+base, by structural recursion on the term; ``level_set_enum``, which
+evaluates every family, is the direct enumeration cross-oracle.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from . import terms
+from .labeled_trees import node_key, node_from_key
 from .ordinals import ZERO, ONE, ord_cmp, left_subtract, parse_ordinal, ord_to_str
 from .spaces import (QPartition, mask_points, points_mask, cat_quantifier,
                      is_cos, NotOpenSurjectionError, DifferentSpacesError)
@@ -33,14 +35,14 @@ from .terms import (Shift, Fq, is_singleton, singleton_value,
                     term_decompose, term_tree, term_to_str)
 
 __all__ = [
-    "Base", "borel", "base_shift", "base_restrict",
+    "Base", "borel",
     "TFamily", "components", "reduce_tfamily", "trivial_tfamily",
     "level_has_reduction",
     "UFamily", "WHOLE", "NotDetermined",
     "InvalidFamilyError", "NoReductError", "NodeNotInTreeError",
     "validate_family", "family_eval", "family_restrict", "family_reduct",
     "family_pullback", "family_pushforward",
-    "member", "member_enum", "enumerate_families", "level_set",
+    "member", "enumerate_families", "level_set", "level_set_enum",
     "family_from_json", "family_to_json", "clear_caches",
 ]
 
@@ -50,7 +52,18 @@ class InvalidFamilyError(ValueError):
 
 
 class NoReductError(ValueError):
-    pass
+    """The sets at the children of ``node`` have no pairwise-disjoint
+    refinement with the same union inside the working level.  Sets print
+    by point names when the space is given, else by point indices."""
+
+    def __init__(self, node, sets, space=None):
+        self.node, self.sets = node, tuple(sets)
+        names = space.set_of_names if space else mask_points
+        shown = " ".join("{" + ",".join(map(str, names(m))) + "}"
+                         for m in self.sets)
+        super().__init__(f"no reduct for {shown} at the children of node "
+                         f"{node_key(node) or 'root'}: the working level "
+                         "lacks the reduction property")
 
 
 class NodeNotInTreeError(ValueError):
@@ -184,14 +197,6 @@ def borel(space):
                 ((ZERO, space.opens()), (ONE, _all_submasks(space.full))))
 
 
-def base_shift(base, beta):
-    return base.shift(beta)
-
-
-def base_restrict(base, mask):
-    return base.restrict(mask)
-
-
 # --- tree-indexed families ----------------------------------------------------
 
 
@@ -258,14 +263,16 @@ class TFamily:
 
 
 def components(fam):
-    """The set at each node minus everything at strictly deeper nodes."""
+    """The set at each node minus everything at strictly deeper nodes, for
+    a T-family or the top tree of a u-family."""
+    sets = fam.sets
     out = {}
-    for n in fam.nodes:
+    for n, s in sets.items():
         deeper = 0
-        for m in fam.nodes:
+        for m, t in sets.items():
             if len(m) > len(n) and m[:len(n)] == n:
-                deeper |= fam.sets[m]
-        out[n] = fam.sets[n] & ~deeper
+                deeper |= t
+        out[n] = s & ~deeper
     return out
 
 
@@ -275,8 +282,9 @@ def _popcount(m):
 
 def _reduce_sequence(sets, level):
     """A pairwise-disjoint refinement of ``sets`` inside ``level`` with the
-    same union, each member below the original; earliest positions prefer
-    the largest candidates, so the result is deterministic."""
+    same union, each member below the original, or None if there is none;
+    earliest positions prefer the largest candidates, so the result is
+    deterministic."""
     k = len(sets)
     total = 0
     for s in sets:
@@ -304,9 +312,7 @@ def _reduce_sequence(sets, level):
                 return True
         return False
 
-    if not bt(0, 0):
-        raise NoReductError(f"no reduct for {sets} in the given level")
-    return tuple(out)
+    return tuple(out) if bt(0, 0) else None
 
 
 def reduce_tfamily(fam, level):
@@ -319,10 +325,12 @@ def reduce_tfamily(fam, level):
     sets = dict(fam.sets)
 
     def go(node):
-        kids = [n for n in fam.nodes
-                if len(n) == len(node) + 1 and n[:len(node)] == node]
+        kids = fam.children(node)
         if kids:
-            vs = _reduce_sequence([sets[k] for k in kids], level)
+            old = [sets[k] for k in kids]
+            vs = _reduce_sequence(old, level)
+            if vs is None:
+                raise NoReductError(node, old)
             for k, v in zip(kids, vs):
                 for m in fam.nodes:
                     if m[:len(k)] == k:
@@ -354,9 +362,7 @@ def level_has_reduction(level, carrier, max_len=3):
     level = tuple(sorted(set(level)))
     for k in range(1, max_len + 1):
         for seq in itertools.combinations_with_replacement(level, k):
-            try:
-                _reduce_sequence(list(seq), level)
-            except NoReductError:
+            if _reduce_sequence(seq, level) is None:
                 return False
     return True
 
@@ -411,17 +417,6 @@ class NotDetermined:
                                  "labels": list(self.labels)}}
 
 
-def _components_of(nodes, sets):
-    out = {}
-    for n in nodes:
-        deeper = 0
-        for m in nodes:
-            if len(m) > len(n) and m[:len(n)] == n:
-                deeper |= sets[m]
-        out[n] = sets[n] & ~deeper
-    return out
-
-
 def validate_family(F, u, base):
     """Structural and level-membership validation of a family for a term
     over a base (whose carrier is the family's carrier)."""
@@ -448,7 +443,7 @@ def validate_family(F, u, base):
             raise InvalidFamilyError(f"family is not monotone at {node}")
     if F.sets[()] != base.carrier:
         raise InvalidFamilyError("the root set must be the whole carrier")
-    comps = _components_of(tree.nodes, F.sets)
+    comps = components(F)
     for node in tree.nodes:
         lab = tree.labels[node]
         child = F.children.get(node)
@@ -470,7 +465,7 @@ def _terminating_pieces(F, u, base, out):
     dec = term_decompose(u)
     b2 = base.shift(dec.shift)
     tree = term_tree(dec.core)
-    comps = _components_of(tree.nodes, F.sets)
+    comps = components(F)
     for node in tree.nodes:
         lab = tree.labels[node]
         if is_singleton(lab):
@@ -495,9 +490,9 @@ def _eval_pieces(F, u, base, qo):
     if conflicts:
         p = min(conflicts)
         return NotDetermined(p, tuple(sorted(conflicts[p])))
-    uncovered = base.carrier & ~points_mask(
-        p for p in range(space.n) if values[p] is not None)
-    assert uncovered == 0, "terminating components must cover the carrier"
+    if base.carrier & ~points_mask(
+            p for p in range(space.n) if values[p] is not None):
+        raise RuntimeError("terminating components must cover the carrier")
     return QPartition(space, qo, values)
 
 
@@ -509,19 +504,28 @@ def family_eval(F, u, base, qo):
     return _eval_pieces(F, u, base, qo)
 
 
-def family_restrict(F, mask):
-    """Trace a family on a subset: intersect every carrier and set."""
+def _family_map_masks(F, fn):
     if F is WHOLE:
         return WHOLE
-    return UFamily(F.carrier & mask,
-                   {n: m & mask for n, m in F.sets.items()},
-                   {n: family_restrict(c, mask) for n, c in F.children.items()})
+    return UFamily(fn(F.carrier),
+                   {n: fn(m) for n, m in F.sets.items()},
+                   {n: _family_map_masks(c, fn) for n, c in F.children.items()})
+
+
+def family_restrict(F, mask):
+    """Trace a family on a subset: intersect every carrier and set."""
+    return _family_map_masks(F, lambda m: m & mask)
 
 
 def family_reduct(F, u, base):
     """A reduced family whose terminating components sit inside the
     originals; if the input determined a partition, so does the reduct,
-    and reduced families always determine one."""
+    and reduced families always determine one.
+
+    Precondition: every working level met on the way has the reduction
+    property (see `level_has_reduction`).  Otherwise sibling sets may have
+    no disjoint refinement inside their level, and `NoReductError` names
+    the node and the sets."""
     validate_family(F, u, base)
 
     def go(F, u, base):
@@ -530,8 +534,11 @@ def family_reduct(F, u, base):
         dec = term_decompose(u)
         b2 = base.shift(dec.shift)
         tree = term_tree(dec.core)
-        rtf = reduce_tfamily(TFamily(tree.nodes, F.sets), b2.level0)
-        comps = _components_of(tree.nodes, rtf.sets)
+        try:
+            rtf = reduce_tfamily(TFamily(tree.nodes, F.sets), b2.level0)
+        except NoReductError as exc:
+            raise NoReductError(exc.node, exc.sets, base.space) from None
+        comps = components(rtf)
         children = {}
         for node in tree.nodes:
             lab = tree.labels[node]
@@ -541,14 +548,6 @@ def family_reduct(F, u, base):
         return UFamily(F.carrier, rtf.sets, children)
 
     return go(F, u, base)
-
-
-def _family_map_masks(F, fn):
-    if F is WHOLE:
-        return WHOLE
-    return UFamily(fn(F.carrier),
-                   {n: fn(m) for n, m in F.sets.items()},
-                   {n: _family_map_masks(c, fn) for n, c in F.children.items()})
 
 
 def family_pullback(f, F, u, base_target):
@@ -586,8 +585,9 @@ def family_pushforward(f, F, u, base_source):
                    for n, m in F.sets.items()}
         # the clipped image of the root is exactly the new carrier: the new
         # component sits inside the image of the old one
-        assert newsets[()] == dst_carrier
-        comps = _components_of(tree.nodes, newsets)
+        if newsets[()] != dst_carrier:
+            raise RuntimeError("the image of the root must be the new carrier")
+        comps = components(TFamily(tree.nodes, newsets))
         children = {}
         for node in tree.nodes:
             lab = tree.labels[node]
@@ -607,7 +607,12 @@ _MISS = object()
 
 
 def clear_caches():
+    """Empty every memo: membership, the per-quasiorder term orders and the
+    flattened term trees.  Intern tables stay, so values keep their
+    identity."""
     _MEMBER_CACHE.clear()
+    terms._ORDERS.clear()
+    terms._TREES.clear()
 
 
 def _restrict_avals(avals, mask):
@@ -704,7 +709,8 @@ def enumerate_families(u, base, reduced=False):
             del sets[node]
 
     for sets in assign(0, {}):
-        comps = _components_of(nodes, sets)
+        # only nested families need the components
+        comps = components(TFamily(nodes, sets)) if snodes else {}
 
         def rec(j, acc):
             if j == len(snodes):
@@ -720,38 +726,15 @@ def enumerate_families(u, base, reduced=False):
         yield from rec(0, {})
 
 
-def member_enum(A, u, base, qo=None, reduced=False, max_families=None):
-    """Direct-enumeration cross-oracle for `member`: try every structurally
-    valid family and test whether one evaluates to the partition.  Intended
-    for tiny instances; ``max_families`` aborts oversized searches."""
-    if A.space != base.space:
-        raise DifferentSpacesError("partition and base live on different spaces")
-    if base.carrier & ~A.carrier:
-        raise ValueError("the partition must label the whole carrier")
-    qo = qo or A.qo
-    target = _restrict_avals(A.values, base.carrier)
-    count = 0
-    for F in enumerate_families(u, base, reduced=reduced):
-        count += 1
-        if max_families is not None and count > max_families:
-            raise RuntimeError("enumeration budget exceeded")
-        res = _eval_pieces(F, u, base, qo)
-        if isinstance(res, QPartition) and res.values == target:
-            return True
-    return False
-
-
 def level_set(space, qo, u, base=None):
     """All partitions of the base's carrier that some family for the term
     determines; the stock base of the space by default."""
     if base is None:
         base = borel(space)
-    pts = mask_points(base.carrier)
+    choices = [range(qo.size) if base.carrier >> p & 1 else (None,)
+               for p in range(space.n)]
     out = []
-    for combo in itertools.product(range(qo.size), repeat=len(pts)):
-        values = [None] * space.n
-        for p, v in zip(pts, combo):
-            values[p] = v
+    for values in itertools.product(*choices):
         A = QPartition(space, qo, values)
         if member(A, u, base):
             out.append(A)
@@ -760,7 +743,8 @@ def level_set(space, qo, u, base=None):
 
 def level_set_enum(space, qo, u, base=None, reduced=False, max_families=None):
     """The level computed the slow way: evaluate every family and collect
-    the determined partitions.  Cross-oracle for `level_set`/`member`."""
+    the determined partitions.  Cross-oracle for `level_set`/`member`;
+    ``max_families`` aborts oversized searches."""
     if base is None:
         base = borel(space)
     seen = set()
@@ -778,21 +762,13 @@ def level_set_enum(space, qo, u, base=None, reduced=False, max_families=None):
 # --- JSON ----------------------------------------------------------------------
 
 
-def _node_key(node):
-    return "".join(str(i) for i in node)
-
-
-def _node_from_key(key):
-    return tuple(int(ch) for ch in key)
-
-
 def family_from_json(space, doc):
     if "sets" not in doc or doc.get("whole"):
         return WHOLE
     carrier = space.mask_of_names(doc["carrier"])
-    sets = {_node_from_key(k): space.mask_of_names(v)
+    sets = {node_from_key(k): space.mask_of_names(v)
             for k, v in doc["sets"].items()}
-    children = {_node_from_key(k): family_from_json(space, sub)
+    children = {node_from_key(k): family_from_json(space, sub)
                 for k, sub in doc.get("children", {}).items()}
     return UFamily(carrier, sets, children)
 
@@ -805,9 +781,9 @@ def family_to_json(space, F, u):
     dec = term_decompose(u)
     tree = term_tree(dec.core)
     doc["carrier"] = list(space.set_of_names(F.carrier))
-    doc["sets"] = {_node_key(n): list(space.set_of_names(m))
+    doc["sets"] = {node_key(n): list(space.set_of_names(m))
                    for n, m in sorted(F.sets.items())}
     if F.children:
-        doc["children"] = {_node_key(n): family_to_json(space, c, tree.labels[n])
+        doc["children"] = {node_key(n): family_to_json(space, c, tree.labels[n])
                            for n, c in sorted(F.children.items())}
     return doc

@@ -1,4 +1,4 @@
-"""Finite labeled trees and forests with the monotone-map quasiorder.
+"""Finite labeled trees with the monotone-map quasiorder.
 
 A tree is a finite prefix-closed set of index tuples (the empty tuple is
 the root) with a total labeling.  ``hom_leq(T, V, label_leq)`` decides
@@ -19,10 +19,18 @@ import json
 from ._memo import PairMemo
 
 __all__ = [
-    "LabeledTree", "LabeledForest",
-    "hom_leq", "forest_hom_leq", "hom_leq_exhaustive",
-    "tree_to_dot",
+    "LabeledTree", "hom_leq", "hom_leq_exhaustive", "tree_to_dot",
+    "node_key", "node_from_key",
 ]
+
+
+def node_key(node):
+    """The digit-string form of a node, as in the JSON documents."""
+    return "".join(str(i) for i in node)
+
+
+def node_from_key(key):
+    return tuple(int(ch) for ch in key)
 
 
 class LabeledTree:
@@ -65,30 +73,13 @@ class LabeledTree:
     def from_json(cls, doc):
         if isinstance(doc, str):
             doc = json.loads(doc)
-        nodes = [tuple(int(ch) for ch in s) for s in doc["nodes"]]
-        labels = {tuple(int(ch) for ch in s): l for s, l in doc["labels"].items()}
+        nodes = [node_from_key(s) for s in doc["nodes"]]
+        labels = {node_from_key(s): l for s, l in doc["labels"].items()}
         return cls(nodes, labels)
 
     def to_json(self):
-        key = lambda n: "".join(str(i) for i in n)
-        return {"nodes": [key(n) for n in self.nodes],
-                "labels": {key(n): self.labels[n] for n in self.nodes}}
-
-
-class LabeledForest:
-    __slots__ = ("trees",)
-
-    def __init__(self, trees):
-        trees = tuple(trees)
-        if not trees:
-            raise ValueError("forests are nonempty")
-        for t in trees:
-            if not isinstance(t, LabeledTree):
-                raise TypeError("forest members must be labeled trees")
-        self.trees = trees
-
-    def __repr__(self):
-        return f"LabeledForest({len(self.trees)} trees)"
+        return {"nodes": [node_key(n) for n in self.nodes],
+                "labels": {node_key(n): self.labels[n] for n in self.nodes}}
 
 
 # Interned immutable view used by the matcher: identity hashing makes the
@@ -151,13 +142,6 @@ def hom_leq(T, V, label_leq, cache=None):
     a, b = _tnode(T), _tnode(V)
     memo = cache if cache is not None else PairMemo()
     return any(_emb(a, w, label_leq, memo) for w in b.subnodes())
-
-
-def forest_hom_leq(F, G, label_leq, cache=None):
-    """Forest extension: every tree of F maps into some tree of G."""
-    memo = cache if cache is not None else PairMemo()
-    return all(any(hom_leq(t, v, label_leq, cache=memo) for v in G.trees)
-               for t in F.trees)
 
 
 def hom_leq_exhaustive(T, V, label_leq):

@@ -58,9 +58,35 @@ def _cnf_cmp(a, b):
 
 
 class _CNF:
-    """Shared behaviour of interned CNF-style values."""
+    """Shared behaviour of interned CNF-style values.  Each subclass has its
+    own intern table ``_interned`` and print ``_symbol``; exponents must be
+    of the subclass itself."""
 
-    __slots__ = ()
+    __slots__ = ("terms",)
+
+    def __new__(cls, terms=()):
+        terms = tuple(terms)
+        hit = cls._interned.get(terms)
+        if hit is not None:
+            return hit
+        for exp, coeff in terms:
+            if not isinstance(exp, cls):
+                raise TypeError(f"exponents must be {cls.__name__} values")
+            if not isinstance(coeff, int) or coeff < 1:
+                raise ValueError("coefficients must be positive integers")
+        for (e1, _), (e2, _) in zip(terms, terms[1:]):
+            if _cnf_cmp(e1, e2) <= 0:
+                raise ValueError("exponents must be strictly decreasing")
+        self = object.__new__(cls)
+        self.terms = terms
+        cls._interned[terms] = self
+        return self
+
+    def __str__(self):
+        return _to_str(self, self._symbol)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({str(self)!r})"
 
     def __lt__(self, other):
         return _cnf_cmp(self, other) < 0
@@ -91,32 +117,9 @@ class _CNF:
 
 
 class Ordinal(_CNF):
-    __slots__ = ("terms",)
+    __slots__ = ()
     _interned = {}
-
-    def __new__(cls, terms=()):
-        terms = tuple(terms)
-        hit = cls._interned.get(terms)
-        if hit is not None:
-            return hit
-        for exp, coeff in terms:
-            if not isinstance(exp, Ordinal):
-                raise TypeError("exponents must be Ordinal values")
-            if not isinstance(coeff, int) or coeff < 1:
-                raise ValueError("coefficients must be positive integers")
-        for (e1, _), (e2, _) in zip(terms, terms[1:]):
-            if _cnf_cmp(e1, e2) <= 0:
-                raise ValueError("exponents must be strictly decreasing")
-        self = object.__new__(cls)
-        self.terms = terms
-        cls._interned[terms] = self
-        return self
-
-    def __str__(self):
-        return ord_to_str(self)
-
-    def __repr__(self):
-        return f"Ordinal({ord_to_str(self)!r})"
+    _symbol = "w"
 
 
 ZERO = Ordinal()
@@ -187,24 +190,20 @@ def left_subtract(beta, alpha):
 
 # --- literal parsing and printing -------------------------------------------
 
-_TOKEN = re.compile(r"\s*(\d+|[w^*+()])")
 
+class LiteralParser:
+    """Tokenizer and token cursor shared by the literal parsers; a subclass
+    sets the token regex ``TOKEN`` (one group per token) and the error
+    class ``Error``."""
 
-def _tokenize(text):
-    out, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise OrdinalParseError(f"bad character at {text[pos:]!r}")
-        out.append(m.group(1))
-        pos = m.end()
-    return out
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.toks = tokens
-        self.i = 0
+    def __init__(self, text):
+        self.toks, self.i, pos = [], 0, 0
+        while pos < len(text):
+            m = self.TOKEN.match(text, pos)
+            if not m:
+                raise self.Error(f"bad character at {text[pos:]!r}")
+            self.toks.append(m.group(1))
+            pos = m.end()
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -212,9 +211,21 @@ class _Parser:
     def take(self, tok=None):
         t = self.peek()
         if t is None or (tok is not None and t != tok):
-            raise OrdinalParseError(f"expected {tok or 'token'}, got {t!r}")
+            raise self.Error(f"expected {tok or 'token'}, got {t!r}")
         self.i += 1
         return t
+
+    def parse(self, rule):
+        """Run one grammar rule over the whole input."""
+        v = rule()
+        if self.peek() is not None:
+            raise self.Error(f"trailing input at {self.peek()!r}")
+        return v
+
+
+class _Parser(LiteralParser):
+    TOKEN = re.compile(r"\s*(\d+|[w^*+()])")
+    Error = OrdinalParseError
 
     def nat(self):
         t = self.take()
@@ -263,11 +274,8 @@ class _Parser:
 
 
 def parse_ordinal(text):
-    p = _Parser(_tokenize(text))
-    v = p.sum()
-    if p.peek() is not None:
-        raise OrdinalParseError(f"trailing input at {p.peek()!r}")
-    return v
+    p = _Parser(text)
+    return p.parse(p.sum)
 
 
 def _to_str(a, symbol):
@@ -311,32 +319,9 @@ def ord_to_str(a):
 class WadgeOrdinal(_CNF):
     """Formal base-omega_1 sum with the same shape constraints as CNF."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
     _interned = {}
-
-    def __new__(cls, terms=()):
-        terms = tuple(terms)
-        hit = cls._interned.get(terms)
-        if hit is not None:
-            return hit
-        for exp, coeff in terms:
-            if not isinstance(exp, WadgeOrdinal):
-                raise TypeError("exponents must be WadgeOrdinal values")
-            if not isinstance(coeff, int) or coeff < 1:
-                raise ValueError("coefficients must be positive integers")
-        for (e1, _), (e2, _) in zip(terms, terms[1:]):
-            if _cnf_cmp(e1, e2) <= 0:
-                raise ValueError("exponents must be strictly decreasing")
-        self = object.__new__(cls)
-        self.terms = terms
-        cls._interned[terms] = self
-        return self
-
-    def __str__(self):
-        return wadge_to_str(self)
-
-    def __repr__(self):
-        return f"WadgeOrdinal({wadge_to_str(self)!r})"
+    _symbol = "w1"
 
 
 WADGE_ZERO = WadgeOrdinal()

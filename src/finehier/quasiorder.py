@@ -8,7 +8,41 @@ from __future__ import annotations
 import itertools
 import json
 
-__all__ = ["Quasiorder", "antichain", "chain"]
+__all__ = ["Quasiorder", "antichain", "chain", "preorder_closure",
+           "check_preorder"]
+
+
+def preorder_closure(size, pairs):
+    """The reflexive-transitive closure of index pairs on {0, .., size-1},
+    as a boolean matrix (Warshall's algorithm)."""
+    le = [[i == j for j in range(size)] for i in range(size)]
+    for i, j in pairs:
+        if not all(type(x) is int and 0 <= x < size for x in (i, j)):
+            raise ValueError(f"pair {[i, j]} is not two elements of "
+                             f"0..{size - 1}")
+        le[i][j] = True
+    for m in range(size):
+        for row in le:
+            if row[m]:
+                for j in range(size):
+                    row[j] = row[j] or le[m][j]
+    return le
+
+
+def check_preorder(le):
+    """The relation matrix as tuples of bools, after checking that it is
+    square, reflexive and transitive."""
+    le = tuple(tuple(bool(x) for x in row) for row in le)
+    k = len(le)
+    if any(len(row) != k for row in le):
+        raise ValueError("relation matrix must be square")
+    if not all(le[i][i] for i in range(k)):
+        raise ValueError("relation must be reflexive")
+    for i in range(k):
+        for j in range(k):
+            if le[i][j] and any(le[j][l] and not le[i][l] for l in range(k)):
+                raise ValueError("relation must be transitive")
+    return le
 
 
 class Quasiorder:
@@ -17,19 +51,8 @@ class Quasiorder:
     __slots__ = ("size", "le", "names", "_hash", "_auts")
 
     def __init__(self, le, names=None):
-        le = tuple(tuple(bool(x) for x in row) for row in le)
+        le = check_preorder(le)
         k = len(le)
-        if any(len(row) != k for row in le):
-            raise ValueError("relation matrix must be square")
-        for i in range(k):
-            if not le[i][i]:
-                raise ValueError("relation must be reflexive")
-        for i in range(k):
-            for j in range(k):
-                if le[i][j]:
-                    for l in range(k):
-                        if le[j][l] and not le[i][l]:
-                            raise ValueError("relation must be transitive")
         self.size = k
         self.le = le
         self.names = tuple(names) if names else tuple(str(i) for i in range(k))
@@ -72,20 +95,7 @@ class Quasiorder:
     def from_pairs(cls, size, pairs, names=None):
         """Build from generating pairs; the reflexive-transitive closure is
         applied before the invariants are re-checked."""
-        le = [[i == j for j in range(size)] for i in range(size)]
-        for i, j in pairs:
-            le[i][j] = True
-        changed = True
-        while changed:
-            changed = False
-            for i in range(size):
-                for j in range(size):
-                    if le[i][j]:
-                        for l in range(size):
-                            if le[j][l] and not le[i][l]:
-                                le[i][l] = True
-                                changed = True
-        return cls(le, names)
+        return cls(preorder_closure(size, pairs), names)
 
     @classmethod
     def from_json(cls, doc):

@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 import json
 
+from .quasiorder import check_preorder, preorder_closure
+
 __all__ = [
     "FinSpace", "ContMap", "QPartition",
     "NotContinuousError", "NotOpenSurjectionError",
@@ -64,21 +66,10 @@ class FinSpace:
                  "_hash", "_opens", "_selfmaps")
 
     def __init__(self, le, names=None):
-        le = tuple(tuple(bool(x) for x in row) for row in le)
+        le = check_preorder(le)
         n = len(le)
-        if any(len(row) != n for row in le):
-            raise ValueError("order matrix must be square")
-        for i in range(n):
-            if not le[i][i]:
-                raise ValueError("order must be reflexive")
-        for i in range(n):
-            for j in range(n):
-                if le[i][j]:
-                    if i != j and le[j][i]:
-                        raise ValueError("order must be antisymmetric (T0)")
-                    for k in range(n):
-                        if le[j][k] and not le[i][k]:
-                            raise ValueError("order must be transitive")
+        if any(le[i][j] and le[j][i] for i in range(n) for j in range(i)):
+            raise ValueError("order must be antisymmetric (T0)")
         self.n = n
         self.le = le
         self.names = tuple(names) if names else _default_names(n)
@@ -128,11 +119,11 @@ class FinSpace:
                 out |= 1 << p
         return out
 
-    def name_of(self, p):
-        return self.names[p]
-
     def index_of(self, name):
-        return self.names.index(name)
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise ValueError(f"unknown point {name!r}") from None
 
     def set_of_names(self, mask):
         return tuple(self.names[p] for p in mask_points(mask))
@@ -154,22 +145,12 @@ class FinSpace:
     @classmethod
     def from_pairs(cls, names, pairs):
         names = tuple(names)
-        n = len(names)
         idx = {x: i for i, x in enumerate(names)}
-        le = [[i == j for j in range(n)] for i in range(n)]
-        for a, b in pairs:
-            le[idx[a]][idx[b]] = True
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                for j in range(n):
-                    if le[i][j]:
-                        for k in range(n):
-                            if le[j][k] and not le[i][k]:
-                                le[i][k] = True
-                                changed = True
-        return cls(le, names)
+        try:
+            pairs = [(idx[a], idx[b]) for a, b in pairs]
+        except KeyError as exc:
+            raise ValueError(f"unknown point {exc.args[0]!r}") from None
+        return cls(preorder_closure(len(names), pairs), names)
 
     @classmethod
     def from_json(cls, doc):
@@ -354,6 +335,8 @@ class QPartition:
         for p, v in enumerate(values):
             if v is None:
                 continue
+            if type(v) is not int:  # bool is an int subclass, not a label
+                raise ValueError(f"label {v!r} is not an integer")
             if not 0 <= v < qo.size:
                 raise ValueError(f"label {v} outside the quasiorder")
             carrier |= 1 << p
@@ -459,21 +442,11 @@ def enumerate_posets(n, up_to_iso=True):
     out = []
     # each unordered pair is incomparable, <, or >
     for assign in itertools.product((0, 1, 2), repeat=len(pairs)):
-        le = [[i == j for j in range(n)] for i in range(n)]
-        for (i, j), a in zip(pairs, assign):
-            if a == 1:
-                le[i][j] = True
-            elif a == 2:
-                le[j][i] = True
-        ok = True
-        for i in range(n):
-            for j in range(n):
-                if le[i][j]:
-                    for k in range(n):
-                        if le[j][k] and not le[i][k]:
-                            ok = False
-        if not ok:
-            continue
+        rel = [(i, j) if a == 1 else (j, i)
+               for (i, j), a in zip(pairs, assign) if a]
+        le = preorder_closure(n, rel)
+        if sum(map(sum, le)) != n + len(rel):
+            continue  # the closure adds pairs: not transitive
         if up_to_iso:
             canon = min(tuple(le[p[i]][p[j]] for i in range(n) for j in range(n))
                         for p in itertools.permutations(range(n)))

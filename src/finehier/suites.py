@@ -25,7 +25,7 @@ from .ordinals import (Ordinal, ZERO, from_int, omega_power, ord_cmp,
 from .quasiorder import antichain
 from .spaces import (FinSpace, QPartition, enum_cos, enumerate_posets,
                      discrete, sierpinski, product, is_meager,
-                     is_meager_bruteforce, monotone_selfmaps)
+                     is_meager_bruteforce, wadge_leq)
 from .terms import (Shift, TermOrder, enumerate_terms, term_tree,
                     term_to_str, parse_term)
 
@@ -99,6 +99,18 @@ def _subscripts(cfg):
     return tuple(from_int(i) for i in range(cfg.max_subscript + 1))
 
 
+def _terms(cfg, k):
+    """The configured term pool over k labels."""
+    return enumerate_terms(k, cfg.max_nodes, _subscripts(cfg),
+                           cfg.max_children)
+
+
+def _label_pools(cfg):
+    """(k, the k-antichain, the term pool) for k = 2 .. max_q."""
+    for k in range(2, cfg.max_q + 1):
+        yield k, antichain(k), _terms(cfg, k)
+
+
 def _spaces(cfg, max_points=None):
     n = max_points if max_points is not None else cfg.max_points
     out = []
@@ -118,23 +130,13 @@ def _partitions(space, qo):
     return tuple(itertools.product(range(qo.size), repeat=space.n))
 
 
-def _qpartition(space, qo, values):
-    return QPartition(space, qo, values)
-
-
-def _level_masks(space, qo, terms, base=None):
+def _level_masks(space, qo, terms):
     """Per term, the bitmask over the index of all total partitions that
-    belong to its level over the base."""
-    parts = _partitions(space, qo)
-    base = base if base is not None else borel(space)
-    out = {}
-    for u in terms:
-        mask = 0
-        for i, vals in enumerate(parts):
-            if member(_qpartition(space, qo, vals), u, base):
-                mask |= 1 << i
-        out[u] = mask
-    return out
+    belong to its level over the stock base."""
+    idx = {vals: i for i, vals in enumerate(_partitions(space, qo))}
+    base = borel(space)
+    return {u: sum(1 << idx[A.values] for A in level_set(space, qo, u, base))
+            for u in terms}
 
 
 def _part_tag(space, values):
@@ -147,8 +149,7 @@ def _part_tag(space, values):
 
 def _suite_qo_axioms(cfg, rep):
     qo = antichain(cfg.max_q)
-    terms = enumerate_terms(cfg.max_q, cfg.max_nodes, _subscripts(cfg),
-                            cfg.max_children)
+    terms = _terms(cfg, cfg.max_q)
     order = TermOrder(qo)
     for u in terms:
         rep.checked += 1
@@ -169,8 +170,7 @@ def _suite_qo_axioms(cfg, rep):
 
 def _suite_hom_oracle(cfg, rep):
     qo = antichain(cfg.max_q)
-    terms = enumerate_terms(cfg.max_q, cfg.max_nodes, _subscripts(cfg),
-                            cfg.max_children)
+    terms = _terms(cfg, cfg.max_q)
     order = TermOrder(qo)
     cache = PairMemo()
     label_leq = order.leq
@@ -188,10 +188,7 @@ def _suite_hom_oracle(cfg, rep):
 
 def _suite_inclusion(cfg, rep):
     spaces = _spaces(cfg)
-    for k in range(2, cfg.max_q + 1):
-        qo = antichain(k)
-        terms = enumerate_terms(k, cfg.max_nodes, _subscripts(cfg),
-                                cfg.max_children)
+    for k, qo, terms in _label_pools(cfg):
         order = TermOrder(qo)
         masks = [_level_masks(space, qo, terms) for space in spaces]
         for u in terms:
@@ -228,22 +225,15 @@ def _suite_shift_law(cfg, rep):
 
 def _suite_wadge_closure(cfg, rep):
     spaces = _spaces(cfg)
-    for k in range(2, cfg.max_q + 1):
-        qo = antichain(k)
-        terms = enumerate_terms(k, cfg.max_nodes, _subscripts(cfg),
-                                cfg.max_children)
+    for k, qo, terms in _label_pools(cfg):
         for space in spaces:
             parts = _partitions(space, qo)
-            idx = {vals: i for i, vals in enumerate(parts)}
+            qparts = [QPartition(space, qo, vals) for vals in parts]
             below = [0] * len(parts)
-            selfmaps = monotone_selfmaps(space)
-            for i, a in enumerate(parts):
-                for b in parts:
-                    # b reduces to a when some monotone self-map matches
-                    # labels pointwise (antichain labels compare by equality)
-                    if any(all(b[x] == a[g[x]] for x in range(space.n))
-                           for g in selfmaps):
-                        below[i] |= 1 << idx[b]
+            for i, a in enumerate(qparts):
+                for j, b in enumerate(qparts):
+                    if wadge_leq(b, a):
+                        below[i] |= 1 << j
             masks = _level_masks(space, qo, terms)
             for u in terms:
                 ls = masks[u]
@@ -261,10 +251,7 @@ def _suite_wadge_closure(cfg, rep):
 def _suite_preservation(cfg, rep):
     xs = _spaces(cfg)
     ys = _spaces(cfg, max_points=min(2, cfg.max_points))
-    for k in range(2, cfg.max_q + 1):
-        qo = antichain(k)
-        terms = enumerate_terms(k, cfg.max_nodes, _subscripts(cfg),
-                                cfg.max_children)
+    for k, qo, terms in _label_pools(cfg):
         ymasks = {y: _level_masks(y, qo, terms) for y in ys}
         for X in xs:
             xmasks = None
@@ -291,11 +278,10 @@ def _suite_preservation(cfg, rep):
         # the 4-point product projecting onto its first factor
         S = sierpinski()
         X4, proj, _ = product(S, discrete(2, names=("0", "1")))
-        sbase, xbase = borel(S), borel(X4)
+        xbase = borel(X4)
         smasks = _level_masks(S, qo, terms)
         for i, vals in enumerate(_partitions(S, qo)):
-            A = _qpartition(S, qo, vals)
-            Af = A.precompose(proj)
+            Af = QPartition(S, qo, vals).precompose(proj)
             for u in terms:
                 rep.checked += 1
                 if (smasks[u] >> i & 1) != member(Af, u, xbase):
@@ -356,7 +342,7 @@ def _suite_hk(cfg, rep):
                 if not remaining:
                     break
                 for vals in list(remaining):
-                    if member(_qpartition(space, qo, vals), u, base):
+                    if member(QPartition(space, qo, vals), u, base):
                         witnesses[vals] = u
                         del remaining[vals]
             rep.checked += len(witnesses) + len(remaining)

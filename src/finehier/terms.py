@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 from ._memo import PairMemo
 from .labeled_trees import LabeledTree, hom_leq
-from .ordinals import (Ordinal, ZERO, ord_add, ord_cmp, omega_power,
-                       parse_ordinal, ord_to_str)
+from .ordinals import (Ordinal, ZERO, LiteralParser, ord_add, ord_cmp,
+                       omega_power, parse_ordinal, ord_to_str)
 
 __all__ = [
     "Const", "Shift", "Fq", "Fo", "Term", "Decomposition",
@@ -325,10 +325,6 @@ def term_leq(qo, u, v):
     return order.leq(u, v)
 
 
-def clear_caches():
-    _ORDERS.clear()
-
-
 # --- flattening to labeled trees ---------------------------------------------
 
 _TREES = {}
@@ -346,25 +342,25 @@ def term_tree(u):
     if hit is not None:
         return hit
     if isinstance(u, (Const, Shift)):
-        tree = LabeledTree(((),), {(): u})
+        tree = _graft(u, ())
+    elif isinstance(u, Fq):
+        tree = _graft(Const(u.q), [term_tree(c) for c in u.children])
     else:
-        if isinstance(u, Fq):
-            root = Const(u.q)
-            below = u.children
-        else:
-            root = Shift(u.alpha, u.children[0])
-            below = u.children[1:]
-        nodes = [()]
-        labels = {(): root}
-        for i, c in enumerate(below):
-            sub = term_tree(c)
-            for n in sub.nodes:
-                m = (i,) + n
-                nodes.append(m)
-                labels[m] = sub.labels[n]
-        tree = LabeledTree(nodes, labels)
+        tree = _graft(Shift(u.alpha, u.children[0]),
+                      [term_tree(c) for c in u.children[1:]])
     _TREES[u] = tree
     return tree
+
+
+def _graft(root, subtrees):
+    """The tree with a root labeled ``root`` and the subtrees below it, in
+    order."""
+    nodes, labels = [()], {(): root}
+    for i, sub in enumerate(subtrees):
+        for n in sub.nodes:
+            nodes.append((i,) + n)
+            labels[(i,) + n] = sub.labels[n]
+    return LabeledTree(nodes, labels)
 
 
 def term_paths(u):
@@ -425,34 +421,10 @@ def hom_oracle_leq(qo, u, v, cache=None):
 
 # --- concrete syntax ----------------------------------------------------------
 
-_TERM_TOKEN = re.compile(r"\s*(\d+|Fq|Fo|s|w|[\[\](),^*+])")
 
-
-def _term_tokens(text):
-    out, pos = [], 0
-    while pos < len(text):
-        m = _TERM_TOKEN.match(text, pos)
-        if not m:
-            raise TermParseError(f"bad character at {text[pos:]!r}")
-        out.append(m.group(1))
-        pos = m.end()
-    return out
-
-
-class _TermParser:
-    def __init__(self, tokens):
-        self.toks = tokens
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def take(self, tok=None):
-        t = self.peek()
-        if t is None or (tok is not None and t != tok):
-            raise TermParseError(f"expected {tok or 'token'}, got {t!r}")
-        self.i += 1
-        return t
+class _TermParser(LiteralParser):
+    TOKEN = re.compile(r"\s*(\d+|Fq|Fo|s|w|[\[\](),^*+])")
+    Error = TermParseError
 
     def subscript(self):
         self.take("[")
@@ -500,10 +472,8 @@ class _TermParser:
 
 
 def parse_term(text, gamma=None):
-    p = _TermParser(_term_tokens(text))
-    u = p.term()
-    if p.peek() is not None:
-        raise TermParseError(f"trailing input at {p.peek()!r}")
+    p = _TermParser(text)
+    u = p.parse(p.term)
     check_subscripts(u, gamma)
     return u
 
@@ -522,25 +492,17 @@ def term_to_str(u):
 def syntax_tree(u):
     """The syntactic tree as a labeled tree (constructor tags at nodes)."""
     if isinstance(u, Const):
-        return LabeledTree(((),), {(): str(u.q)})
+        return _graft(str(u.q), ())
     if isinstance(u, Shift):
         kids = [u.body]
         tag = f"s[{ord_to_str(u.alpha)}]"
     elif isinstance(u, Fq):
-        kids = list(u.children)
+        kids = u.children
         tag = f"Fq[{u.q}]"
     else:
-        kids = list(u.children)
+        kids = u.children
         tag = f"Fo[{ord_to_str(u.alpha)}]"
-    nodes = [()]
-    labels = {(): tag}
-    for i, c in enumerate(kids):
-        sub = syntax_tree(c)
-        for n in sub.nodes:
-            m = (i,) + n
-            nodes.append(m)
-            labels[m] = sub.labels[n]
-    return LabeledTree(nodes, labels)
+    return _graft(tag, [syntax_tree(c) for c in kids])
 
 
 # --- enumeration --------------------------------------------------------------

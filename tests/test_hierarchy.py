@@ -7,16 +7,18 @@ from finehier.quasiorder import antichain
 from finehier.spaces import (FinSpace, ContMap, QPartition, sierpinski,
                              discrete, chain_space, product, cat_quantifier)
 from finehier.terms import Const, Shift, parse_term, enumerate_terms
-from finehier.hierarchy import (Base, borel, base_shift, base_restrict,
-                                TFamily, components, reduce_tfamily,
-                                trivial_tfamily, level_has_reduction, UFamily,
-                                WHOLE, NotDetermined, validate_family,
-                                family_eval, family_restrict, family_reduct,
+from finehier.hierarchy import (Base, borel, TFamily, components,
+                                reduce_tfamily, trivial_tfamily,
+                                level_has_reduction, UFamily, WHOLE,
+                                NotDetermined, validate_family, family_eval,
+                                family_restrict, family_reduct,
                                 family_pullback, family_pushforward, member,
-                                member_enum, enumerate_families, level_set,
+                                enumerate_families, level_set,
                                 level_set_enum, family_from_json,
                                 family_to_json, InvalidFamilyError,
-                                NoReductError, NodeNotInTreeError)
+                                NoReductError, NodeNotInTreeError,
+                                clear_caches)
+from finehier import hierarchy, terms
 
 S = sierpinski()
 D2 = discrete(2, names=("x", "y"))
@@ -44,20 +46,20 @@ def test_borel_examples():
 
 def test_shift_examples():
     L = borel(S)
-    assert len(base_shift(L, ONE).level0) == 4
-    assert base_shift(L, ZERO) is L
+    assert len(L.shift(ONE).level0) == 4
+    assert L.shift(ZERO) is L
     w = parse_ordinal("w")
-    assert base_shift(base_shift(L, ONE), w) is base_shift(L, w)  # 1 + w == w
-    assert base_shift(L, parse_ordinal("w^2")).level0 == L.level(ONE)
+    assert L.shift(ONE).shift(w) is L.shift(w)  # 1 + w == w
+    assert L.shift(parse_ordinal("w^2")).level0 == L.level(ONE)
 
 
 def test_restrict_examples():
     L = borel(S)
     b = S.mask_of_names(["b"])
-    assert base_restrict(L, b).level0 == (0, b)
-    empty = base_restrict(L, 0)
+    assert L.restrict(b).level0 == (0, b)
+    empty = L.restrict(0)
     assert all(lvl == (0,) for _, lvl in empty.steps)
-    assert base_restrict(L, S.full) is L
+    assert L.restrict(S.full) is L
 
 
 def test_base_validation():
@@ -212,6 +214,13 @@ def test_validation_errors():
                     T("Fq[0](s[1](Fq[1](0)))"), borel(S), Q2)
 
 
+def test_invariants_raise_without_assert():
+    # an unvalidated family whose root misses b leaves b uncovered
+    with pytest.raises(RuntimeError):
+        hierarchy._eval_pieces(UFamily(S.full, {(): 1, (0,): 0}),
+                               T("Fq[0](1)"), borel(S), Q2)
+
+
 def test_shift_labels_use_shifted_level():
     # nested sets live one level up: {a} is fine inside a shifted family
     u = T("Fq[0](s[0](Fq[1](0)))")
@@ -237,6 +246,32 @@ def test_reduct_examples():
                                   (0,): LAMBDA.mask_of_names(["a", "b"]),
                                   (1,): LAMBDA.mask_of_names(["b", "c"])}),
             T("Fq[0](1,1)"), borel(LAMBDA))
+
+
+def test_reduct_needs_the_reduction_property():
+    # a<c, b<c: every open holding a or b holds c, so {a,c} and {b,c} have
+    # no disjoint open refinement, although the family determines 0
+    V = FinSpace.from_pairs("abc", [("a", "c"), ("b", "c")])
+    u = T("Fq[0](0,0)")
+    F = UFamily(V.full, {(): V.full, (0,): V.mask_of_names("ac"),
+                         (1,): V.mask_of_names("bc")})
+    assert family_eval(F, u, borel(V), Q2).values == (0, 0, 0)
+    assert not level_has_reduction(borel(V).level0, V.full)
+    with pytest.raises(NoReductError) as exc:
+        family_reduct(F, u, borel(V))
+    assert str(exc.value).startswith(
+        "no reduct for {a,c} {b,c} at the children of node root")
+    assert exc.value.node == () and exc.value.sets == (5, 6)
+
+
+def test_clear_caches_empties_every_memo():
+    u = T("Fq[0](s[1](Fq[1](0)))")
+    member(QPartition(S, Q2, (0, 1)), u, borel(S))
+    terms.term_leq(Q2, u, u)
+    assert hierarchy._MEMBER_CACHE and terms._ORDERS and terms._TREES
+    clear_caches()
+    assert not (hierarchy._MEMBER_CACHE or terms._ORDERS or terms._TREES)
+    assert Const(0) is Const(0)  # intern tables stay
 
 
 def _identity(space):
@@ -278,15 +313,15 @@ def test_member_examples():
 
 
 def test_member_enum_examples():
+    # membership decision against the family-enumeration oracle
     L = borel(S)
-    for vals in itertools.product(range(2), repeat=2):
-        A = QPartition(S, Q2, vals)
-        for text in ("Fq[0](1)", "Fq[1](0)", "s[1](Fq[0](1))", "0", "1",
-                     "Fo[1](0,1)", "Fq[0](1,0)"):
-            u = T(text)
-            assert member(A, u, L) == member_enum(A, u, L)
-    assert member_enum(QPartition(S, Q2, (1, 1)), Const(1), L)
-    assert not member_enum(QPartition(S, Q2, (0, 0)), Const(1), L)
+    for text in ("Fq[0](1)", "Fq[1](0)", "s[1](Fq[0](1))", "0", "1",
+                 "Fo[1](0,1)", "Fq[0](1,0)"):
+        u = T(text)
+        level = level_set_enum(S, Q2, u)
+        for vals in itertools.product(range(2), repeat=2):
+            assert member(QPartition(S, Q2, vals), u, L) == (vals in level)
+    assert level_set_enum(S, Q2, Const(1)) == {(1, 1)}
 
 
 def test_level_set_examples():
@@ -324,7 +359,7 @@ def test_reduced_enumeration_matches_full_on_reducible_bases():
 def test_shift_law_small():
     w_alpha = omega_power(ONE)
     for space in (S, D2):
-        shifted = base_shift(borel(space), w_alpha)
+        shifted = borel(space).shift(w_alpha)
         for u in enumerate_terms(2, 3, SUBS):
             left = {A.values for A in level_set(space, Q2, Shift(ONE, u))}
             right = {A.values for A in level_set(space, Q2, u, shifted)}
@@ -337,7 +372,7 @@ def test_restriction_law():
     F = fam_b()
     b = S.mask_of_names(["b"])
     sub = family_restrict(F, b)
-    res = family_eval(sub, u, base_restrict(borel(S), b), Q2)
+    res = family_eval(sub, u, borel(S).restrict(b), Q2)
     assert res.values == (None, 1)
 
 

@@ -2,8 +2,7 @@ import itertools
 
 import pytest
 
-from finehier.labeled_trees import (LabeledTree, LabeledForest, hom_leq,
-                                    forest_hom_leq, hom_leq_exhaustive,
+from finehier.labeled_trees import (LabeledTree, hom_leq, hom_leq_exhaustive,
                                     tree_to_dot)
 
 
@@ -89,17 +88,6 @@ def test_hom_is_a_quasiorder():
                 for k in range(len(trees)):
                     if rel[j][k]:
                         assert rel[i][k]
-
-
-def test_forest_examples():
-    t = ROOT0_CHILD1
-    assert forest_hom_leq(LabeledForest([t]), LabeledForest([t]), _anti)
-    # the second tree embeds nowhere
-    f = LabeledForest([SINGLE0, ROOT0_CHILD1])
-    g = LabeledForest([SINGLE0])
-    assert not forest_hom_leq(f, g, _anti)
-    big = LabeledForest([SINGLE0, SINGLE1, ROOT0_CHILD1])
-    assert forest_hom_leq(f, big, _anti)
 
 
 def test_ordered_labels():

@@ -6,7 +6,8 @@ from finehier.ordinals import (Ordinal, ZERO, ONE, OMEGA, ord_cmp, ord_add,
                                ord_star, omega_power, from_int, left_subtract,
                                parse_ordinal, ord_to_str, f_map, wadge_cmp,
                                wadge_from_int, wadge_to_str, ZeroOrdinalError,
-                               OrdinalParseError)
+                               OrdinalParseError, WadgeOrdinal, WADGE_ZERO)
+from finehier.terms import Shift, Fo, Const
 
 
 def O(text):
@@ -58,6 +59,21 @@ def test_invalid_construction():
         Ordinal(((ZERO, 0),))
     with pytest.raises(ValueError):
         Ordinal(((ZERO, 1), (ONE, 1)))  # exponents must decrease
+    with pytest.raises(TypeError):
+        Ordinal(((WADGE_ZERO, 1),))  # exponents of the same kind only
+
+
+def test_plain_and_base_omega1_values_stay_apart():
+    assert ZERO is not WADGE_ZERO and ZERO is Ordinal()
+    w1 = f_map(OMEGA)
+    assert isinstance(w1, WadgeOrdinal) and w1 is WadgeOrdinal(w1.terms)
+    assert (str(OMEGA), repr(OMEGA)) == ("w", "Ordinal('w')")
+    assert (str(w1), repr(w1)) == ("w1", "WadgeOrdinal('w1')")
+    for bad in (WADGE_ZERO, w1):
+        with pytest.raises(TypeError):
+            Shift(bad, Const(0))
+        with pytest.raises(TypeError):
+            Fo(bad, (Const(0),))
 
 
 def _pool(exponents, coeffs, max_terms):

@@ -24,6 +24,9 @@ def test_invariants_rejected():
         Quasiorder([[True, True, False],
                     [False, True, True],
                     [False, False, True]])  # not transitive
+    for bad in ([0, 2], [0, -1], [0, "1"], [0, True]):
+        with pytest.raises(ValueError, match="not two elements"):
+            Quasiorder.from_json({"size": 2, "le": [bad]})
 
 
 def _all_preorders(k):

@@ -154,6 +154,18 @@ def test_partition_helpers():
     assert QPartition.from_json(S, Q2, doc) == A
 
 
+def test_labels_and_names_checked():
+    for bad in ("0", True, 1.0):
+        with pytest.raises(ValueError, match="not an integer"):
+            QPartition(S, Q2, (0, bad))
+    with pytest.raises(ValueError, match="unknown point 'z'"):
+        S.index_of("z")
+    with pytest.raises(ValueError, match="unknown point 'z'"):
+        FinSpace.from_json({"points": ["a"], "le": [["a", "z"]]})
+    with pytest.raises(ValueError, match="unknown point 'z'"):
+        QPartition.from_json(S, Q2, {"values": {"z": 0}})
+
+
 def test_space_json_round_trip():
     doc = S.to_json()
     assert FinSpace.from_json(doc) == S

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,7 @@ from finehier.suites import SuiteConfig, SuiteReport, run_suite, \
 
 TINY = dict(max_nodes=2, max_subscript=1, max_points=2, max_q=2,
             sample=500, families=50)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
@@ -18,6 +23,10 @@ def test_every_suite_passes_at_tiny_bounds(suite):
     rep = run_suite(SuiteConfig(suite=suite, **kw))
     assert rep.passed, rep.counterexamples[:3]
     assert rep.checked > 0
+    # tests/golden holds the reports revision 5c4106a wrote at these
+    # bounds; refactors must keep them byte for byte
+    golden = (GOLDEN / f"{suite}.txt").read_text(encoding="utf-8")
+    assert rep.text() == golden
 
 
 def test_reports_deterministic():
@@ -169,6 +178,37 @@ def test_cli_family_member_levelset(capsys, tmp_path, sierp):
     code, out, _ = run_cli(capsys, "levelset", "--space", sierp,
                            "--term", "Fq[0](1)")
     assert "count: 3" in out
+
+
+def test_cli_reduct_without_reduction_property(capsys, tmp_path):
+    # a<c, b<c: the family determines 0 everywhere, but {a,c} and {b,c}
+    # have no disjoint open refinement
+    vee = _write(tmp_path, "v.json",
+                 {"points": ["a", "b", "c"], "le": [["a", "c"], ["b", "c"]]})
+    fam = _write(tmp_path, "f.json", {
+        "term": "Fq[0](0,0)", "carrier": ["a", "b", "c"],
+        "sets": {"": ["a", "b", "c"], "0": ["a", "c"], "1": ["b", "c"]}})
+    code, out, _ = run_cli(capsys, "family", "eval", fam, "--space", vee)
+    assert code == 0 and out.strip() == "a:0 b:0 c:0"
+    code, out, err = run_cli(capsys, "family", "reduct", fam, "--space", vee)
+    assert code == 2 and out == ""
+    assert err.startswith("error: no reduct for {a,c} {b,c} at the children "
+                          "of node root")
+
+
+@pytest.mark.parametrize("values", [{"a": "0"}, {"a": True}, {"z": 0}])
+def test_cli_rejects_bad_partition(tmp_path, sierp, values):
+    part = _write(tmp_path, "p.json", {"values": dict({"b": 1}, **values)})
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src")]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    res = subprocess.run(
+        [sys.executable, "-m", "finehier.cli", "member", part, "--space",
+         sierp, "--term", "Fq[0](1)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert "Traceback" not in res.stderr
 
 
 def test_cli_family_pull_push(capsys, tmp_path, sierp):
