@@ -16,9 +16,13 @@ Evaluating a family assigns to each point the constants of the terminating
 components containing it -- at most one partition arises, and reduced
 families (pairwise disjoint siblings everywhere) always determine one.
 
-``member`` decides whether a partition arises from *some* family over a
-base, by structural recursion on the term; ``level_set_enum``, which
-evaluates every family, is the direct enumeration cross-oracle.
+The *level* of a term over a base is the set of partitions some family
+determines.  ``level_mask`` computes it in one pass, as an int over all
+labelings by k labels in ``itertools.product(range(k), repeat=n)`` order
+(point 0 the most significant digit): a branch runs a DP over the unions
+of its children's working-level sets, then needs the root constant or the
+shifted head's level on the residue.  ``member`` is a bit lookup;
+``level_set_enum``, which evaluates every family, is the cross-oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .labeled_trees import node_key, node_from_key
 from .ordinals import ZERO, ONE, ord_cmp, left_subtract, parse_ordinal, ord_to_str
 from .spaces import (QPartition, mask_points, points_mask, cat_quantifier,
                      is_cos, NotOpenSurjectionError, DifferentSpacesError)
-from .terms import (Shift, Fq, is_singleton, singleton_value,
+from .terms import (Const, Shift, Fq, is_singleton, singleton_value,
                     term_decompose, term_tree, term_to_str)
 
 __all__ = [
@@ -42,7 +46,8 @@ __all__ = [
     "InvalidFamilyError", "NoReductError", "NodeNotInTreeError",
     "validate_family", "family_eval", "family_restrict", "family_reduct",
     "family_pullback", "family_pushforward",
-    "member", "enumerate_families", "level_set", "level_set_enum",
+    "member", "enumerate_families", "level_mask", "level_set",
+    "level_set_enum",
     "family_from_json", "family_to_json", "clear_caches",
 ]
 
@@ -152,13 +157,15 @@ class Base:
         return Base(self.space, self.carrier, steps)
 
     def restrict(self, mask):
-        """Trace every level on a sub-carrier."""
+        """Trace every level on a sub-carrier (memoized)."""
         mask &= self.carrier
         if mask == self.carrier:
             return self
-        steps = [(t, tuple(sorted({a & mask for a in lvl})))
-                 for t, lvl in self.steps]
-        return Base(self.space, mask, steps)
+        if (self, mask) not in _RESTRICTS:
+            steps = [(t, tuple(sorted({a & mask for a in lvl})))
+                     for t, lvl in self.steps]
+            _RESTRICTS[self, mask] = Base(self.space, mask, steps)
+        return _RESTRICTS[self, mask]
 
     def __eq__(self, other):
         return self is other
@@ -600,77 +607,92 @@ def family_pushforward(f, F, u, base_source):
     return G
 
 
-# --- membership ---------------------------------------------------------------
+# --- level sets ---------------------------------------------------------------
 
-_MEMBER_CACHE = {}
-_MISS = object()
+_LEVELS = {}       # (base, term, label count) -> labeling mask
+_RESTRICTS = {}    # (base, mask) -> the base restricted to the mask
+_LABEL_MASKS = {}  # (points, label count) -> per point, per label masks
 
 
 def clear_caches():
-    """Empty every memo: membership, the per-quasiorder term orders and the
-    flattened term trees.  Intern tables stay, so values keep their
-    identity."""
-    _MEMBER_CACHE.clear()
-    terms._ORDERS.clear()
-    terms._TREES.clear()
+    """Empty every memo (levels, restricted bases, term orders and term
+    trees); intern tables stay, so values keep their identity."""
+    for memo in (_LEVELS, _RESTRICTS, _LABEL_MASKS, terms._ORDERS,
+                 terms._TREES):
+        memo.clear()
 
 
-def _restrict_avals(avals, mask):
-    return tuple(v if mask >> p & 1 else None for p, v in enumerate(avals))
+def _index(values, k):
+    """The bit of a labeling in a level mask; None reads as label 0."""
+    i = 0
+    for v in values:
+        i = i * k + (v or 0)
+    return i
 
 
-def _member(base, u, avals):
-    key = (base, u, avals)
-    hit = _MEMBER_CACHE.get(key, _MISS)
-    if hit is not _MISS:
-        return hit
+def _level(base, u, k):
+    """The level of ``u`` over ``base`` over k labels (see `level_mask`)."""
+    key = (base, u, k)
+    if key in _LEVELS:
+        return _LEVELS[key]
+    n = base.space.n
+    r = (1 << k ** n) - 1
     if is_singleton(u):
+        if (n, k) not in _LABEL_MASKS:
+            rows = tuple(itertools.product(range(k), repeat=n))
+            _LABEL_MASKS[n, k] = [
+                [sum(1 << i for i, row in enumerate(rows) if row[p] == q)
+                 for q in range(k)] for p in range(n)]
         q = singleton_value(u)
-        r = all(avals[p] == q for p in mask_points(base.carrier))
+        for p in mask_points(base.carrier):
+            r &= _LABEL_MASKS[n, k][p][q] if q < k else 0
     else:
         dec = term_decompose(u)
         b2 = base.shift(dec.shift)
         core = dec.core
-        cands = b2.level0
-        carrier = base.carrier
-        if isinstance(core, Fq):
-            kids = core.children
-            need = 0
-            for p in mask_points(carrier):
-                if avals[p] != core.q:
-                    need |= 1 << p
-            unions = {0}
-            for kid in kids:
-                valid = [m for m in cands
-                         if _member(b2.restrict(m), kid, _restrict_avals(avals, m))]
-                unions = {un | m for un in unions for m in valid}
-            r = any(need & ~un == 0 for un in unions)
+        if isinstance(core, Fq):  # the residue takes the head's level
+            kids, head = core.children, Const(core.q)
         else:
-            head = Shift(core.alpha, core.children[0])
-            unions = {0}
-            for kid in core.children[1:]:
-                valid = [m for m in cands
-                         if _member(b2.restrict(m), kid, _restrict_avals(avals, m))]
-                unions = {un | m for un in unions for m in valid}
-            r = any(_member(b2.restrict(carrier & ~un), head,
-                            _restrict_avals(avals, carrier & ~un))
-                    for un in sorted(unions))
-    _MEMBER_CACHE[key] = r
+            kids, head = core.children[1:], Shift(core.alpha, core.children[0])
+        # union of the children's sets so far -> labelings whose restriction
+        # to every chosen set lies in that child's level there
+        reach = {0: r}
+        for kid in kids:
+            new = {}
+            for m in b2.level0:
+                lv = _level(b2.restrict(m), kid, k)
+                for un, s in reach.items():
+                    if s & lv:
+                        new[un | m] = new.get(un | m, 0) | s & lv
+            reach = new
+        r = 0
+        for un, s in reach.items():
+            r |= s & _level(b2.restrict(base.carrier & ~un), head, k)
+    _LEVELS[key] = r
     return r
+
+
+def level_mask(space, qo, u, base=None):
+    """The level of ``u`` over ``base`` (the stock base by default) as an
+    int: bit i is set when the i-th labeling, in the order of
+    ``itertools.product(range(qo.size), repeat=space.n)``, lies in the
+    level.  Labels of points outside the base's carrier never matter."""
+    if base is None:
+        base = borel(space)
+    if space != base.space:
+        raise DifferentSpacesError("the base lives on a different space")
+    return _level(base, u, qo.size)
 
 
 def member(A, u, base):
     """Does some family for ``u`` over ``base`` determine ``A`` (restricted
-    to the carrier)?  Decided by structural recursion: singleton terms need
-    a constant partition; shift chains move the base up by the chain's
-    ordinal; a branch guesses working-level sets for its children, requires
-    the root constant (or the shifted head term) on the residue, and
-    recurses on the restrictions."""
+    to the carrier)?  A bit lookup in the level DP's mask (see `level_mask`),
+    with points outside A's carrier read as label 0."""
     if A.space != base.space:
         raise DifferentSpacesError("partition and base live on different spaces")
     if base.carrier & ~A.carrier:
         raise ValueError("the partition must label the whole carrier")
-    return _member(base, u, _restrict_avals(A.values, base.carrier))
+    return bool(_level(base, u, A.qo.size) >> _index(A.values, A.qo.size) & 1)
 
 
 def enumerate_families(u, base, reduced=False):
@@ -728,17 +750,15 @@ def enumerate_families(u, base, reduced=False):
 
 def level_set(space, qo, u, base=None):
     """All partitions of the base's carrier that some family for the term
-    determines; the stock base of the space by default."""
+    determines, in `level_mask` order; the stock base by default."""
     if base is None:
         base = borel(space)
+    mask = level_mask(space, qo, u, base)
     choices = [range(qo.size) if base.carrier >> p & 1 else (None,)
                for p in range(space.n)]
-    out = []
-    for values in itertools.product(*choices):
-        A = QPartition(space, qo, values)
-        if member(A, u, base):
-            out.append(A)
-    return tuple(out)
+    return tuple(QPartition(space, qo, values)
+                 for values in itertools.product(*choices)
+                 if mask >> _index(values, qo.size) & 1)
 
 
 def level_set_enum(space, qo, u, base=None, reduced=False, max_families=None):

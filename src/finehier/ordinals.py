@@ -194,10 +194,13 @@ def left_subtract(beta, alpha):
 class LiteralParser:
     """Tokenizer and token cursor shared by the literal parsers; a subclass
     sets the token regex ``TOKEN`` (one group per token) and the error
-    class ``Error``."""
+    class ``Error``.  Rules recurse through `nested`, so that a deep
+    literal raises ``Error`` instead of overflowing the stack."""
+
+    MAX_DEPTH = 100
 
     def __init__(self, text):
-        self.toks, self.i, pos = [], 0, 0
+        self.toks, self.i, self.depth, pos = [], 0, 0, 0
         while pos < len(text):
             m = self.TOKEN.match(text, pos)
             if not m:
@@ -214,6 +217,15 @@ class LiteralParser:
             raise self.Error(f"expected {tok or 'token'}, got {t!r}")
         self.i += 1
         return t
+
+    def nested(self, rule):
+        """Run a grammar rule one nesting level deeper."""
+        if self.depth >= self.MAX_DEPTH:
+            raise self.Error(f"literal nests over {self.MAX_DEPTH} levels")
+        self.depth += 1
+        v = rule()
+        self.depth -= 1
+        return v
 
     def parse(self, rule):
         """Run one grammar rule over the whole input."""
@@ -247,7 +259,7 @@ class _Parser(LiteralParser):
             exp = ONE
             if self.peek() == "^":
                 self.take("^")
-                exp = self.atom()
+                exp = self.nested(self.atom)
             coeff = 1
             if self.peek() == "*":
                 self.take("*")
@@ -268,7 +280,7 @@ class _Parser(LiteralParser):
             self.take("w")
             if self.peek() == "^":
                 self.take("^")
-                return omega_power(self.atom())
+                return omega_power(self.nested(self.atom))
             return OMEGA
         return from_int(self.nat())
 

@@ -257,8 +257,10 @@ class ContMap:
         if isinstance(doc, str):
             doc = json.loads(doc)
         vals = doc["values"] if "values" in doc else doc
-        values = tuple(dst.index_of(vals[src.names[i]]) for i in range(src.n))
-        return cls(src, dst, values)
+        for x in src.names:
+            if x not in vals:
+                raise ValueError(f"point map leaves out source point {x!r}")
+        return cls(src, dst, tuple(dst.index_of(vals[x]) for x in src.names))
 
     def to_json(self):
         return {"values": {self.src.names[i]: self.dst.names[v]

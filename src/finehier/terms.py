@@ -449,17 +449,17 @@ class _TermParser(LiteralParser):
             self.take("s")
             alpha = self.subscript()
             self.take("(")
-            body = self.term()
+            body = self.nested(self.term)
             self.take(")")
             return Shift(alpha, body)
         if t in ("Fq", "Fo"):
             kind = self.take()
             sub = self.subscript()
             self.take("(")
-            children = [self.term()]
+            children = [self.nested(self.term)]
             while self.peek() == ",":
                 self.take(",")
-                children.append(self.term())
+                children.append(self.nested(self.term))
             self.take(")")
             if kind == "Fq":
                 if not sub.is_natural():

@@ -64,7 +64,7 @@ def test_c04_preservation():
     # within bounds, plus the 4-point product projection
     _run(4, "continuous open surjections preserve level membership",
          suite="preservation", max_q=3, max_nodes=4, max_subscript=1,
-         max_points=3)
+         max_points=4)
 
 
 def test_c05_hk_exhaustion():
@@ -78,20 +78,20 @@ def test_c05_hk_exhaustion():
 def test_c06_member_cross_oracle():
     # decision procedure == family enumeration on every instance of the
     # inclusion/preservation/witness criteria that fits the enumeration
-    # budget: full term pool <= 3 nodes on all posets <= 3 points, branch
+    # budget: full term pool <= 3 nodes on all posets <= 4 points, branch
     # terms <= 4 nodes on posets <= 2 points, and <= 2-node terms on the
     # 4-point product space
     t0 = time.time()
     clear_caches()
     budget = 200_000
     checked = mismatches = 0
-    spaces3 = [s for n in (1, 2, 3) for s in enumerate_posets(n)]
+    spaces4 = [s for n in (1, 2, 3, 4) for s in enumerate_posets(n)]
     spaces2 = [s for n in (1, 2) for s in enumerate_posets(n)]
     prod_space, _, _ = product(sierpinski(), discrete(2, names=("0", "1")))
     jobs = []
     for k in (2, 3):
         jobs += [(space, antichain(k), enumerate_terms(k, 3, SUBS))
-                 for space in spaces3]
+                 for space in spaces4]
         jobs += [(space, antichain(k),
                   enumerate_terms(k, 4, (), constructors=("Const", "Fq")))
                  for space in spaces2]

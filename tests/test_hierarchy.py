@@ -268,9 +268,11 @@ def test_clear_caches_empties_every_memo():
     u = T("Fq[0](s[1](Fq[1](0)))")
     member(QPartition(S, Q2, (0, 1)), u, borel(S))
     terms.term_leq(Q2, u, u)
-    assert hierarchy._MEMBER_CACHE and terms._ORDERS and terms._TREES
+    memos = (hierarchy._LEVELS, hierarchy._RESTRICTS, hierarchy._LABEL_MASKS,
+             terms._ORDERS, terms._TREES)
+    assert all(memos)
     clear_caches()
-    assert not (hierarchy._MEMBER_CACHE or terms._ORDERS or terms._TREES)
+    assert not any(memos)
     assert Const(0) is Const(0)  # intern tables stay
 
 

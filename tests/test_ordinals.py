@@ -49,7 +49,8 @@ def test_parse_normalizes():
 
 
 def test_parse_errors():
-    for bad in ("", "w^", "w*0", "w**2", "(w", "w)", "+w", "w^2*", "x"):
+    for bad in ("", "w^", "w*0", "w**2", "(w", "w)", "+w", "w^2*", "x",
+                "w^" * 3000 + "1", "w^(" * 3000 + "1" + ")" * 3000):
         with pytest.raises(OrdinalParseError):
             parse_ordinal(bad)
 

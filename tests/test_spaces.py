@@ -164,6 +164,9 @@ def test_labels_and_names_checked():
         FinSpace.from_json({"points": ["a"], "le": [["a", "z"]]})
     with pytest.raises(ValueError, match="unknown point 'z'"):
         QPartition.from_json(S, Q2, {"values": {"z": 0}})
+    with pytest.raises(ValueError,
+                       match="point map leaves out source point 'b'"):
+        ContMap.from_json(S, S, {"values": {"a": "a"}})
 
 
 def test_space_json_round_trip():

@@ -196,19 +196,40 @@ def test_cli_reduct_without_reduction_property(capsys, tmp_path):
                           "of node root")
 
 
-@pytest.mark.parametrize("values", [{"a": "0"}, {"a": True}, {"z": 0}])
-def test_cli_rejects_bad_partition(tmp_path, sierp, values):
-    part = _write(tmp_path, "p.json", {"values": dict({"b": 1}, **values)})
+def _assert_usage_error(*argv):
+    """The CLI, run in a child process so that a traceback would show,
+    exits 2 with one ``error:`` line; returns that line."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(__file__).resolve().parent.parent / "src")]
         + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    res = subprocess.run(
-        [sys.executable, "-m", "finehier.cli", "member", part, "--space",
-         sierp, "--term", "Fq[0](1)"],
-        capture_output=True, text=True, env=env, timeout=60)
+    res = subprocess.run([sys.executable, "-m", "finehier.cli", *argv],
+                         capture_output=True, text=True, env=env, timeout=60)
     assert res.returncode == 2 and res.stdout == ""
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
     assert "Traceback" not in res.stderr
+    return res.stderr
+
+
+@pytest.mark.parametrize("values", [{"a": "0"}, {"a": True}, {"z": 0}])
+def test_cli_rejects_bad_partition(tmp_path, sierp, values):
+    part = _write(tmp_path, "p.json", {"values": dict({"b": 1}, **values)})
+    _assert_usage_error("member", part, "--space", sierp, "--term", "Fq[0](1)")
+
+
+@pytest.mark.parametrize("argv", [
+    ("term", "rank", "s[0](" * 3000 + "0" + ")" * 3000),
+    ("ord", "w^" * 3000 + "1"),
+    ("term", "rank", "s[" + "w^(" * 3000 + "1" + ")" * 3000 + "](0)"),
+])
+def test_cli_rejects_deep_literals(argv):
+    assert "nests over 100 levels" in _assert_usage_error(*argv)
+
+
+def test_cli_rejects_partial_point_map(tmp_path, sierp):
+    mp = _write(tmp_path, "m.json", {"values": {"a": "a"}})
+    err = _assert_usage_error("space", "catq", "--space", sierp, "--target",
+                              sierp, "--map", mp, "--set", "a")
+    assert err == "error: point map leaves out source point 'b'\n"
 
 
 def test_cli_family_pull_push(capsys, tmp_path, sierp):

@@ -162,7 +162,8 @@ def test_oracle_equivalence_small():
 def test_parser_round_trip():
     for u in enumerate_terms(3, 4, SUBS):
         assert parse_term(term_to_str(u)) is u
-    for bad in ("", "s[", "Fq[0]()", "Fq()", "s[1]", "Fq[w](0)", "2,"):
+    for bad in ("", "s[", "Fq[0]()", "Fq()", "s[1]", "Fq[w](0)", "2,",
+                "Fq[0](" * 3000 + "0" + ")" * 3000):
         with pytest.raises(TermParseError):
             parse_term(bad)
 
