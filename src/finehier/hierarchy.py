@@ -35,8 +35,8 @@ from .labeled_trees import node_key, node_from_key
 from .ordinals import ZERO, ONE, ord_cmp, left_subtract, parse_ordinal, ord_to_str
 from .spaces import (QPartition, mask_points, points_mask, cat_quantifier,
                      is_cos, NotOpenSurjectionError, DifferentSpacesError)
-from .terms import (Const, Shift, Fq, is_singleton, singleton_value,
-                    term_decompose, term_tree, term_to_str)
+from .terms import (is_singleton, singleton_value, term_decompose, term_tree,
+                    term_to_str, check_constants)
 
 __all__ = [
     "Base", "borel",
@@ -615,8 +615,8 @@ _LABEL_MASKS = {}  # (points, label count) -> per point, per label masks
 
 
 def clear_caches():
-    """Empty every memo (levels, restricted bases, term orders and term
-    trees); intern tables stay, so values keep their identity."""
+    """Empty every memo (levels, restricted bases, the term-order tables
+    and term trees); intern tables stay, so values keep their identity."""
     for memo in (_LEVELS, _RESTRICTS, _LABEL_MASKS, terms._ORDERS,
                  terms._TREES):
         memo.clear()
@@ -645,15 +645,12 @@ def _level(base, u, k):
                  for q in range(k)] for p in range(n)]
         q = singleton_value(u)
         for p in mask_points(base.carrier):
-            r &= _LABEL_MASKS[n, k][p][q] if q < k else 0
+            r &= _LABEL_MASKS[n, k][p][q]
     else:
         dec = term_decompose(u)
         b2 = base.shift(dec.shift)
-        core = dec.core
-        if isinstance(core, Fq):  # the residue takes the head's level
-            kids, head = core.children, Const(core.q)
-        else:
-            kids, head = core.children[1:], Shift(core.alpha, core.children[0])
+        # the residue takes the level of the head, the core's root label
+        head, kids = terms._split(dec.core)
         # union of the children's sets so far -> labelings whose restriction
         # to every chosen set lies in that child's level there
         reach = {0: r}
@@ -681,6 +678,7 @@ def level_mask(space, qo, u, base=None):
         base = borel(space)
     if space != base.space:
         raise DifferentSpacesError("the base lives on a different space")
+    check_constants(u, qo)
     return _level(base, u, qo.size)
 
 
@@ -692,7 +690,8 @@ def member(A, u, base):
         raise DifferentSpacesError("partition and base live on different spaces")
     if base.carrier & ~A.carrier:
         raise ValueError("the partition must label the whole carrier")
-    return bool(_level(base, u, A.qo.size) >> _index(A.values, A.qo.size) & 1)
+    mask = level_mask(A.space, A.qo, u, base)
+    return bool(mask >> _index(A.values, A.qo.size) & 1)
 
 
 def enumerate_families(u, base, reduced=False):

@@ -19,8 +19,12 @@ independent oracle for it.  Three clauses involving branch terms are
 normalized to the tree-morphism semantics where their bound variable would
 otherwise be ambiguous; the cross-check suite adjudicates the reading.
 
+`TermOrder` decides the clauses set at a time: one bottom-up pass over a
+pool and its subterms builds, per term u, a big-int row holding every v
+with u <= v, so a comparison is a bit lookup.
+
 Terms are immutable and interned: structurally equal terms are the same
-object, so identity hashing makes the memoized recursions cheap.
+object, so they hash by identity and index the rows cheaply.
 """
 
 from __future__ import annotations
@@ -28,10 +32,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ._memo import PairMemo
-from .labeled_trees import LabeledTree, hom_leq
+from .labeled_trees import LabeledTree
 from .ordinals import (Ordinal, ZERO, LiteralParser, ord_add, ord_cmp,
                        omega_power, parse_ordinal, ord_to_str)
+from .spaces import mask_points
 
 __all__ = [
     "Const", "Shift", "Fq", "Fo", "Term", "Decomposition",
@@ -39,7 +43,7 @@ __all__ = [
     "SubscriptBoundError",
     "term_size", "term_rank", "is_singleton", "singleton_value",
     "term_decompose", "term_leq", "TermOrder", "term_tree", "term_paths",
-    "term_apply_aut", "term_constants", "check_subscripts",
+    "term_apply_aut", "term_constants", "check_subscripts", "check_constants",
     "parse_term", "term_to_str", "enumerate_terms", "syntax_tree",
 ]
 
@@ -61,7 +65,7 @@ class SubscriptBoundError(ValueError):
 
 
 class Const:
-    __slots__ = ("q", "nodes")
+    __slots__ = ("q", "nodes", "maxq")
     _table = {}
 
     def __new__(cls, q):
@@ -73,6 +77,7 @@ class Const:
         self = object.__new__(cls)
         self.q = q
         self.nodes = 1
+        self.maxq = q
         cls._table[q] = self
         return self
 
@@ -81,7 +86,7 @@ class Const:
 
 
 class Shift:
-    __slots__ = ("alpha", "body", "nodes")
+    __slots__ = ("alpha", "body", "nodes", "maxq")
     _table = {}
 
     def __new__(cls, alpha, body):
@@ -96,6 +101,7 @@ class Shift:
         self.alpha = alpha
         self.body = body
         self.nodes = 1 + body.nodes
+        self.maxq = body.maxq
         cls._table[key] = self
         return self
 
@@ -111,7 +117,7 @@ class _Branch:
 
 
 class Fq(_Branch):
-    __slots__ = ("q", "children", "nodes")
+    __slots__ = ("q", "children", "nodes", "maxq")
     _table = {}
 
     def __new__(cls, q, children):
@@ -130,12 +136,13 @@ class Fq(_Branch):
         self.q = q
         self.children = children
         self.nodes = 1 + sum(c.nodes for c in children)
+        self.maxq = max(q, *(c.maxq for c in children))
         cls._table[key] = self
         return self
 
 
 class Fo(_Branch):
-    __slots__ = ("alpha", "children", "nodes")
+    __slots__ = ("alpha", "children", "nodes", "maxq")
     _table = {}
 
     def __new__(cls, alpha, children):
@@ -154,6 +161,7 @@ class Fo(_Branch):
         self.alpha = alpha
         self.children = children
         self.nodes = 1 + sum(c.nodes for c in children)
+        self.maxq = max(c.maxq for c in children)
         cls._table[key] = self
         return self
 
@@ -246,82 +254,203 @@ def check_subscripts(u, gamma):
 # --- the comparison relation -------------------------------------------------
 
 
-class TermOrder:
-    """Memoized decision procedure for the term comparison over one label
-    quasiorder.
+def check_constants(u, qo):
+    """Every constant of ``u`` must be an element of the label quasiorder."""
+    if u.maxq >= qo.size:
+        raise ValueError(f"constant {u.maxq} is not an element of the label "
+                         f"quasiorder of size {qo.size}")
 
-    Each clause below matches one constructor pair (u, v).  Branch roots
-    behave like their root label followed by the flattened children:
-    mapping root to root compares labels and sends every child into the
-    whole right tree; otherwise the whole left tree sinks into one right
-    subtree.  Every recursive call strictly decreases the combined node
-    count except root-label extraction, which strictly decreases the number
-    of branch constructors, so the recursion terminates.
+
+def _split(u):
+    """The root label of a branch term and the children below it:
+    ``Const(q)`` over all children for ``Fq``, the shifted first child over
+    the rest for ``Fo``."""
+    if isinstance(u, Fq):
+        return Const(u.q), u.children
+    return Shift(u.alpha, u.children[0]), u.children[1:]
+
+
+def _closure(terms):
+    """The terms with their subterms and branch roots, as a dict from term
+    to bit position in which every term comes after its body, root and
+    children."""
+    index = {}
+    stack = [(t, False) for t in terms]
+    while stack:
+        t, ready = stack.pop()
+        if t in index:
+            continue
+        if ready:
+            index[t] = len(index)
+            continue
+        stack.append((t, True))
+        if isinstance(t, Shift):
+            stack.append((t.body, False))
+        elif not isinstance(t, Const):
+            root, below = _split(t)
+            stack.append((root, False))
+            stack.extend((c, False) for c in below)
+    return index
+
+
+def _ancestors(succ):
+    """Per bit x, the mask of the bits that reach x along the successor
+    lists ``succ`` (which point to earlier bits), x included."""
+    anc = [1 << x for x in range(len(succ))]
+    for p in range(len(succ) - 1, -1, -1):
+        for s in succ[p]:
+            anc[s] |= anc[p]
+    return anc
+
+
+def _close(base, anc):
+    """The union of the ancestor masks of the bits of ``base``.  A bit
+    already in the union brings no new ancestors, since reachability is
+    transitive, so it is skipped."""
+    out = 0
+    while base:
+        out |= anc[(base & -base).bit_length() - 1]
+        base &= ~out
+    return out
+
+
+def _rows(qo, terms):
+    """The comparison over the closure of ``terms``, set at a time: the bit
+    positions and, per position, the row of every v with u <= v.
+
+    Each clause on u reads only the rows of u's body, root and children,
+    which come earlier.  The clauses that recurse on v -- sink into a child
+    of v, into v's root, or into the body of a shift with a smaller
+    subscript -- make the row the union of the ancestor masks, in the
+    successor graph for u's kind, of a base set decided by u's own clause.
+    """
+    index = _closure(terms)
+    order = list(index)
+    for t in order:
+        check_constants(t, qo)
+    by_label = [0] * qo.size  # Const(q) and Fq(q, ...) per label q
+    consts = branches = 0
+    kids, below = [], []      # per bit: all children, children below the root
+    root = {}                 # branch bit -> root bit
+    with_root = {}            # root bit -> branches with that root
+    for i, t in enumerate(order):
+        if isinstance(t, Const):
+            by_label[t.q] |= 1 << i
+            consts |= 1 << i
+            kids.append(())
+            below.append(())
+        elif isinstance(t, Shift):
+            kids.append((index[t.body],))
+            below.append(())
+        else:
+            if isinstance(t, Fq):
+                by_label[t.q] |= 1 << i
+            r, rest = _split(t)
+            r = root[i] = index[r]
+            with_root[r] = with_root.get(r, 0) | 1 << i
+            branches |= 1 << i
+            kids.append(tuple(index[c] for c in t.children))
+            below.append(tuple(index[c] for c in rest))
+    # constants read no other row, so their rows come first and their
+    # ancestor table is gone before the others are built
+    up = [0] * len(order)
+    anc = _ancestors(kids)
+    for i in mask_points(consts):
+        base = 0
+        for q in range(qo.size):
+            if qo.leq(order[i].q, q):
+                base |= by_label[q]
+        up[i] = _close(base, anc)
+    del anc
+    roots = sum(1 << r for r in with_root)
+    anc_branch = _ancestors(below)
+    shift_rules = {}
+
+    def shift_rule(a):
+        # u = Shift(a, b) sinks into roots, into children below roots and
+        # into the bodies of shifts with a smaller subscript
+        succ, plain, shift_of = [], consts, {}
+        for i, t in enumerate(order):
+            if i in root:
+                succ.append((root[i],) + below[i])
+            elif isinstance(t, Shift) and t.alpha < a:
+                succ.append(kids[i])
+            else:
+                succ.append(())
+                if isinstance(t, Shift):
+                    if t.alpha is a:
+                        shift_of[kids[i][0]] = i
+                    else:
+                        plain |= 1 << i
+        return (_ancestors(succ), plain, sum(1 << y for y in shift_of),
+                shift_of)
+
+    root_part = {}
+    for i, u in enumerate(order):
+        if isinstance(u, Const):
+            continue
+        if isinstance(u, Shift):
+            rule = shift_rules.get(u.alpha)
+            if rule is None:
+                rule = shift_rules[u.alpha] = shift_rule(u.alpha)
+            anc, plain, has_shift, shift_of = rule
+            body = up[kids[i][0]]
+            base = body & plain
+            for y in mask_points(body & has_shift):
+                base |= 1 << shift_of[y]
+            up[i] = _close(base, anc)
+        else:
+            r = root[i]
+            base = root_part.get(r)
+            if base is None:
+                base = up[r] & ~branches
+                for x in mask_points(up[r] & roots):
+                    base |= with_root[x]
+                root_part[r] = base
+            for c in below[i]:
+                base &= up[c]
+            up[i] = _close(base, anc_branch)
+    return index, up
+
+
+class TermOrder:
+    """The term comparison over one label quasiorder, as a table of rows.
+
+    ``TermOrder(qo, terms)`` builds, for every term u of the closure of
+    ``terms`` under subterms and branch roots, the row of every v with
+    u <= v: ``rows[index[u]]`` is a big int over the bit positions in
+    ``index``.  The rows follow the 16 clauses, one per constructor pair: a
+    branch root behaves like its root label followed by the flattened
+    children, so mapping root to root compares labels and sends every child
+    into the whole right tree; otherwise the whole left tree sinks into one
+    right subtree.  `leq` reads a bit; a pair outside the table is decided
+    by a throwaway table over the closure of the pair.
     """
 
-    __slots__ = ("qo", "_memo")
+    __slots__ = ("qo", "index", "rows")
 
-    def __init__(self, qo):
+    def __init__(self, qo, terms=()):
         self.qo = qo
-        self._memo = PairMemo()
+        self.index, self.rows = _rows(qo, terms)
 
     def leq(self, u, v):
-        cached = self._memo.get(u, v)
-        if cached is not None:
-            return cached
-        return self._memo.put(u, v, self._decide(u, v))
-
-    def _decide(self, u, v):
-        leq = self.leq
-        if isinstance(u, Const):
-            if isinstance(v, Const):
-                return self.qo.leq(u.q, v.q)
-            if isinstance(v, Shift):
-                return leq(u, v.body)
-            if isinstance(v, Fq):
-                return self.qo.leq(u.q, v.q) or any(leq(u, w) for w in v.children)
-            return any(leq(u, w) for w in v.children)
-        if isinstance(u, Shift):
-            if isinstance(v, Const):
-                return leq(u.body, v)
-            if isinstance(v, Shift):
-                c = ord_cmp(u.alpha, v.alpha)
-                if c < 0:
-                    return leq(u.body, v)
-                if c == 0:
-                    return leq(u.body, v.body)
-                return leq(u, v.body)
-            if isinstance(v, Fq):
-                return leq(u, Const(v.q)) or any(leq(u, w) for w in v.children)
-            return (leq(u, Shift(v.alpha, v.children[0]))
-                    or any(leq(u, w) for w in v.children[1:]))
-        if isinstance(u, Fq):
-            root = Const(u.q)
-            kids = u.children
-        else:
-            root = Shift(u.alpha, u.children[0])
-            kids = u.children[1:]
-        if isinstance(v, (Const, Shift)):
-            return leq(root, v) and all(leq(c, v) for c in kids)
-        if isinstance(v, Fq):
-            vroot = Const(v.q)
-            vsub = v.children
-        else:
-            vroot = Shift(v.alpha, v.children[0])
-            vsub = v.children[1:]
-        if leq(root, vroot) and all(leq(c, v) for c in kids):
-            return True
-        return any(leq(u, w) for w in vsub)
+        i, j = self.index.get(u), self.index.get(v)
+        if i is None or j is None:
+            index, rows = _rows(self.qo, (u, v))
+            return bool(rows[index[u]] >> index[v] & 1)
+        return bool(self.rows[i] >> j & 1)
 
 
-_ORDERS = {}
+_ORDERS = {}  # label quasiorder -> the table of its latest term_leq miss
 
 
 def term_leq(qo, u, v):
-    """Decide the comparison relation; memoized per label quasiorder."""
+    """Decide the comparison relation.  Per label quasiorder the table over
+    the closure of the last pair it could not answer is kept, so repeated
+    questions about the same terms read a bit."""
     order = _ORDERS.get(qo)
-    if order is None:
-        order = _ORDERS[qo] = TermOrder(qo)
+    if order is None or u not in order.index or v not in order.index:
+        order = _ORDERS[qo] = TermOrder(qo, (u, v))
     return order.leq(u, v)
 
 
@@ -343,11 +472,9 @@ def term_tree(u):
         return hit
     if isinstance(u, (Const, Shift)):
         tree = _graft(u, ())
-    elif isinstance(u, Fq):
-        tree = _graft(Const(u.q), [term_tree(c) for c in u.children])
     else:
-        tree = _graft(Shift(u.alpha, u.children[0]),
-                      [term_tree(c) for c in u.children[1:]])
+        root, below = _split(u)
+        tree = _graft(root, [term_tree(c) for c in below])
     _TREES[u] = tree
     return tree
 
@@ -407,16 +534,6 @@ def term_apply_aut(qo, g, u):
         return Fo(t.alpha, tuple(go(c) for c in t.children))
 
     return go(u)
-
-
-def hom_oracle_leq(qo, u, v, cache=None):
-    """Independent oracle for `term_leq`: monotone label-dominating map
-    search between the flattened trees, with labels compared by the same
-    relation restricted to singleton labels."""
-    def label_leq(a, b):
-        return term_leq(qo, a, b)
-
-    return hom_leq(term_tree(u), term_tree(v), label_leq, cache=cache)
 
 
 # --- concrete syntax ----------------------------------------------------------

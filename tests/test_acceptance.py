@@ -52,11 +52,11 @@ def test_c02_quasiorder_axioms():
 
 
 def test_c03_inclusion_theorem():
-    # comparable terms have nested level sets: all posets <= 3 points,
+    # comparable terms have nested level sets: all posets <= 4 points,
     # antichains of 2 and 3, terms <= 4 nodes
     _run(3, "comparable terms give nested level sets",
          suite="inclusion", max_q=3, max_nodes=4, max_subscript=1,
-         max_points=3)
+         max_points=4)
 
 
 def test_c04_preservation():
@@ -68,10 +68,10 @@ def test_c04_preservation():
 
 
 def test_c05_hk_exhaustion():
-    # every 2- and 3-partition of every poset <= 3 points has a witness term
+    # every 2- and 3-partition of every poset <= 4 points has a witness term
     # over constants and constant-branches with <= 6 nodes
     rep = _run(5, "every small partition receives a branch-term witness",
-               suite="hk", max_q=3, max_nodes=6, max_points=3)
+               suite="hk", max_q=3, max_nodes=6, max_points=4)
     assert all("<-" in n for n in rep.notes)  # witnesses reported
 
 

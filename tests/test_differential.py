@@ -1,6 +1,8 @@
-"""Seeded random differential checks of the level engine against family
-enumeration, past the exhaustive bounds of the acceptance criteria: 4- and
-5-point posets, terms of 3 to 5 nodes, 2 and 3 labels."""
+"""Seeded random differential checks past the exhaustive bounds of the
+acceptance criteria: the level engine against family enumeration (4- and
+5-point posets, terms of 3 to 5 nodes, 2 and 3 labels), and the term order
+against the tree-map matcher (terms of 5 and 6 nodes over antichains,
+chains and the V-poset)."""
 
 import string
 
@@ -8,10 +10,11 @@ from hypothesis import HealthCheck, given, reject, seed, settings
 from hypothesis import strategies as st
 
 from finehier.hierarchy import borel, level_set, level_set_enum, member
+from finehier.labeled_trees import hom_leq
 from finehier.ordinals import ZERO, from_int
-from finehier.quasiorder import antichain
+from finehier.quasiorder import Quasiorder, antichain, chain
 from finehier.spaces import FinSpace, QPartition
-from finehier.terms import Const, Fo, Fq, Shift
+from finehier.terms import Const, Fo, Fq, Shift, TermOrder, term_tree
 
 SUBS = (ZERO, from_int(1))
 BUDGET = 5_000  # families the oracle may enumerate per example
@@ -86,3 +89,50 @@ def test_member_on_a_partial_carrier_matches_family_enumeration(inst, data):
     values = tuple(data.draw(st.integers(0, k - 1)) if carrier >> p & 1
                    else None for p in range(space.n))
     assert member(QPartition(space, qo, values), u, base) == (values in slow)
+
+
+QUASIORDERS = (antichain(2), antichain(3), chain(2), chain(3),
+               Quasiorder.from_pairs(3, [(0, 1), (0, 2)]))
+
+
+def _tree_order(qo):
+    """The term order re-decided by the tree-map matcher on the flattened
+    trees.  Their labels, constants and shift terms, compare by the
+    constant and shift clauses, which recurse into the matcher for shift
+    bodies."""
+    memo = {}
+
+    def leq(u, v):
+        if (u, v) not in memo:
+            memo[u, v] = hom_leq(term_tree(u), term_tree(v), label_leq)
+        return memo[u, v]
+
+    def label_leq(a, b):
+        if isinstance(a, Const):
+            return qo.leq(a.q, b.q) if isinstance(b, Const) else leq(a, b.body)
+        if isinstance(b, Const) or a.alpha < b.alpha:
+            return leq(a.body, b)
+        if a.alpha == b.alpha:
+            return leq(a.body, b.body)
+        return leq(a, b.body)
+
+    return leq
+
+
+@seed(2019)
+@DIFFERENTIAL
+@given(st.sampled_from(QUASIORDERS), st.data())
+def test_term_order_matches_the_tree_map_matcher(qo, data):
+    pool = [data.draw(terms(qo.size, data.draw(st.integers(5, 6))))
+            for _ in range(4)]
+    order = TermOrder(qo, pool)
+    oracle = _tree_order(qo)
+    for u in pool:
+        for v in pool:
+            expect = oracle(u, v)
+            assert order.leq(u, v) == expect
+            assert TermOrder(qo).leq(u, v) == expect  # a throwaway table
+    # the rows of subterms and branch roots too
+    for v in order.index:
+        assert order.leq(pool[0], v) == oracle(pool[0], v)
+        assert order.leq(v, pool[1]) == oracle(v, pool[1])

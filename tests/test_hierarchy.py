@@ -271,6 +271,7 @@ def test_clear_caches_empties_every_memo():
     memos = (hierarchy._LEVELS, hierarchy._RESTRICTS, hierarchy._LABEL_MASKS,
              terms._ORDERS, terms._TREES)
     assert all(memos)
+    assert terms._ORDERS[Q2].rows  # the row table of the term order
     clear_caches()
     assert not any(memos)
     assert Const(0) is Const(0)  # intern tables stay

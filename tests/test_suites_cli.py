@@ -6,9 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from finehier import suites
 from finehier.cli import main
+from finehier.labeled_trees import hom_leq
+from finehier.quasiorder import antichain
 from finehier.suites import SuiteConfig, SuiteReport, run_suite, \
     UnknownSuiteError, SUITE_NAMES
+from finehier.terms import TermOrder, parse_term, term_to_str, term_tree
 
 TINY = dict(max_nodes=2, max_subscript=1, max_points=2, max_q=2,
             sample=500, families=50)
@@ -50,6 +54,44 @@ def test_report_shape():
     assert not rep.passed
     assert "counterexample: boom" in rep.text()
     assert rep.to_json()["result"] == "FAIL"
+
+
+def test_inclusion_reports_a_planted_violation_like_a_pairwise_scan(
+        monkeypatch):
+    # drop one labeling from the level of one term on one space; the
+    # up-set check must then report exactly what a scan over every
+    # comparable pair (decided by the tree-map matcher) reports
+    cfg = SuiteConfig(suite="inclusion", max_nodes=3, max_points=2, max_q=2)
+    target, dropped = parse_term("Fq[0](1)"), 1  # the labeling a:0 b:0
+    real = suites._level_masks
+
+    def planted(space, qo, terms):
+        masks = real(space, qo, terms)
+        if space.n == 2 and space.le[0][1]:
+            assert masks[target] & dropped
+            masks[target] &= ~dropped
+        return masks
+
+    monkeypatch.setattr(suites, "_level_masks", planted)
+    rep = run_suite(cfg)
+    qo, terms = antichain(2), suites._terms(cfg, 2)
+    spaces = suites._spaces(cfg)
+    masks = [planted(space, qo, terms) for space in spaces]
+    order = TermOrder(qo, terms)
+    expect, pairs = [], 0
+    for u in terms:
+        for v in terms:
+            if not hom_leq(term_tree(u), term_tree(v), order.leq):
+                continue
+            pairs += 1
+            for si, space in enumerate(spaces):
+                if masks[si][u] & ~masks[si][v]:
+                    expect.append(f"k=2 {suites._space_tag(space)} "
+                                  f"{term_to_str(u)} below {term_to_str(v)} "
+                                  "but level sets are not nested")
+    assert expect and rep.violations == len(expect)
+    assert rep.counterexamples == expect
+    assert rep.checked == pairs * len(spaces)
 
 
 # --- command line ----------------------------------------------------------------
@@ -230,6 +272,24 @@ def test_cli_rejects_partial_point_map(tmp_path, sierp):
     err = _assert_usage_error("space", "catq", "--space", sierp, "--target",
                               sierp, "--map", mp, "--set", "a")
     assert err == "error: point map leaves out source point 'b'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("term", "cmp", "Fq[0](1)", "Fq[0](2)"),
+    ("term", "cmp", "5", "1"),
+    ("levelset", "--term", "Fq[5](0)"),
+    ("member", "PARTITION", "--term", "Fq[5](0)"),
+])
+def test_cli_rejects_constants_outside_the_quasiorder(tmp_path, sierp, argv):
+    q2 = _write(tmp_path, "q.json", {"size": 2, "le": []})
+    part = _write(tmp_path, "p.json", {"values": {"a": 0, "b": 1}})
+    argv = [part if a == "PARTITION" else a for a in argv] + ["--q", q2]
+    if argv[0] != "term":
+        argv += ["--space", sierp]
+    err = _assert_usage_error(*argv)
+    assert err.startswith("error: constant ")
+    assert err.endswith("is not an element of the label quasiorder of "
+                        "size 2\n")
 
 
 def test_cli_family_pull_push(capsys, tmp_path, sierp):

@@ -1,5 +1,6 @@
 import pytest
 
+from finehier.labeled_trees import hom_leq
 from finehier.ordinals import ZERO, from_int, parse_ordinal
 from finehier.quasiorder import antichain, chain
 from finehier.terms import (Const, Shift, Fq, Fo, term_size, term_rank,
@@ -7,7 +8,7 @@ from finehier.terms import (Const, Shift, Fq, Fo, term_size, term_rank,
                             term_paths, term_apply_aut, parse_term,
                             term_to_str, enumerate_terms, is_singleton,
                             singleton_value, check_subscripts, syntax_tree,
-                            hom_oracle_leq, SingletonTermError,
+                            check_constants, SingletonTermError,
                             NotAutomorphismError, TermParseError,
                             SubscriptBoundError)
 
@@ -17,6 +18,12 @@ SUBS = (ZERO, from_int(1))
 
 def T(text):
     return parse_term(text)
+
+
+def tree_leq(order, u, v):
+    """The tree-map oracle: a monotone label-dominating map between the
+    flattened trees, with labels compared by the term order itself."""
+    return hom_leq(term_tree(u), term_tree(v), order.leq)
 
 
 def test_decompose_examples():
@@ -65,7 +72,7 @@ def test_leq_examples_with_oracle():
     ]
     for u, v, expect in cases:
         assert term_leq(Q2, u, v) is expect
-        assert hom_oracle_leq(Q2, u, v) is expect
+        assert tree_leq(TermOrder(Q2), u, v) is expect
 
 
 def test_leq_over_nontrivial_quasiorder():
@@ -117,7 +124,7 @@ def test_apply_aut_examples():
 
 
 def _leq_matrix(qo, terms):
-    order = TermOrder(qo)
+    order = TermOrder(qo, terms)
     idx = {u: i for i, u in enumerate(terms)}
     rows = []
     for u in terms:
@@ -146,17 +153,46 @@ def test_leq_invariant_under_automorphisms():
     terms = enumerate_terms(2, 3, SUBS)
     swap = (1, 0)
     images = [term_apply_aut(Q2, swap, u) for u in terms]
+    order = TermOrder(Q2, terms)
     for i, u in enumerate(terms):
         assert term_apply_aut(Q2, swap, images[i]) is u  # involution
         for j, v in enumerate(terms):
-            assert term_leq(Q2, u, v) == term_leq(Q2, images[i], images[j])
+            assert order.leq(u, v) == order.leq(images[i], images[j])
 
 
 def test_oracle_equivalence_small():
     terms = enumerate_terms(2, 3, SUBS, max_children=2)
+    order = TermOrder(Q2, terms)
     for u in terms:
         for v in terms:
-            assert term_leq(Q2, u, v) == hom_oracle_leq(Q2, u, v)
+            assert order.leq(u, v) == tree_leq(order, u, v)
+
+
+def test_rows_are_the_pairwise_order():
+    # a table row holds exactly the terms above; a pair outside the table
+    # gets a throwaway table of its own
+    terms = enumerate_terms(2, 3, SUBS)
+    order = TermOrder(Q2, terms)
+    assert set(terms) <= set(order.index)
+    u = T("Fq[0](1)")
+    row = order.rows[order.index[u]]
+    assert {v for v in terms if row >> order.index[v] & 1} \
+        == {v for v in terms if tree_leq(order, u, v)}
+    big = T("Fo[1](Fq[0](1),s[0](1),0)")
+    assert big not in order.index
+    assert order.leq(u, big) == tree_leq(order, u, big)
+    assert order.leq(big, big)
+
+
+def test_constants_outside_the_quasiorder():
+    check_constants(T("Fq[1](0)"), Q2)
+    for text in ("2", "Fq[2](0)", "s[0](Fo[1](0,3))"):
+        with pytest.raises(ValueError, match="of size 2"):
+            check_constants(T(text), Q2)
+    with pytest.raises(ValueError, match="constant 5 .* of size 2"):
+        TermOrder(Q2, [T("Fq[0](5)")])
+    with pytest.raises(ValueError, match="constant 2 .* of size 2"):
+        term_leq(Q2, T("Fq[0](1)"), T("Fq[0](2)"))
 
 
 def test_parser_round_trip():
