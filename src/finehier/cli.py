@@ -20,8 +20,7 @@ from .spaces import (FinSpace, ContMap, QPartition, is_meager, cat_quantifier,
                      wadge_leq)
 from .suites import SuiteConfig, run_suite, SUITE_NAMES
 from .terms import (parse_term, term_to_str, term_rank, term_decompose,
-                    term_paths, term_leq, term_tree, term_constants,
-                    syntax_tree)
+                    term_paths, term_leq, term_tree, syntax_tree)
 
 
 def _load_json(path):
@@ -42,14 +41,12 @@ def _space_of(args):
     return FinSpace.from_json(_load_json(args.space))
 
 
-def _qo_of(args, *terms):
+def _qo_of(args, *labels):
+    """The quasiorder of --q, else the antichain on 0 .. the largest label
+    in use (on 0 and 1 when no label is given)."""
     if getattr(args, "q", None):
         return Quasiorder.from_json(_load_json(args.q))
-    consts = set()
-    for u in terms:
-        if u is not None:
-            consts |= term_constants(u)
-    return antichain(max(consts, default=1) + 1)
+    return antichain(max(labels, default=1) + 1)
 
 
 def _gamma_of(args):
@@ -109,7 +106,7 @@ def _path_key(seq):
 def _cmd_term(args):
     if args.action == "cmp":
         u, v = _term_of(args, args.left), _term_of(args, args.right)
-        qo = _qo_of(args, u, v)
+        qo = _qo_of(args, u.maxq, v.maxq)
         r = term_leq(qo, u, v)
         _emit(args, {"result": r}, "true" if r else "false")
         return 0
@@ -143,7 +140,10 @@ def _cmd_term(args):
 def _cmd_homcmp(args):
     T = LabeledTree.from_json(_load_json(args.left))
     V = LabeledTree.from_json(_load_json(args.right))
-    qo = _qo_of(args)
+    labels = [*T.labels.values(), *V.labels.values()]
+    qo = _qo_of(args, *(l for l in labels if type(l) is int))
+    for l in labels:
+        qo.check_label(l)
     r = hom_leq(T, V, qo.leq)
     _emit(args, {"result": r}, "true" if r else "false")
     return 0
@@ -185,14 +185,14 @@ def _partition_text(space, A):
 def _cmd_family(args):
     space = _space_of(args)
     doc = _load_json(args.family)
+    F = family_from_json(space, doc)
     text = args.term if args.term else doc.get("term")
     if not text:
         raise SystemExit2("give --term or a 'term' field in the family file")
     u = _term_of(args, text)
     base = _base_of(args, space)
-    F = family_from_json(space, doc)
     if args.action == "eval":
-        qo = _qo_of(args, u)
+        qo = _qo_of(args, u.maxq)
         res = family_eval(F, u, base, qo)
         if isinstance(res, NotDetermined):
             doc = res.to_json(space)
@@ -224,7 +224,7 @@ def _cmd_family(args):
 def _cmd_member(args):
     space = _space_of(args)
     u = _term_of(args)
-    qo = _qo_of(args, u)
+    qo = _qo_of(args, u.maxq)
     base = _base_of(args, space)
     A = QPartition.from_json(space, qo, _load_json(args.partition))
     r = member(A, u, base)
@@ -235,7 +235,7 @@ def _cmd_member(args):
 def _cmd_levelset(args):
     space = _space_of(args)
     u = _term_of(args)
-    qo = _qo_of(args, u)
+    qo = _qo_of(args, u.maxq)
     base = _base_of(args, space)
     out = level_set(space, qo, u, base)
     doc = {"count": len(out), "partitions": [A.to_json()["values"] for A in out]}

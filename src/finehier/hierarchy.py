@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from . import terms
 from .labeled_trees import node_key, node_from_key
 from .ordinals import ZERO, ONE, ord_cmp, left_subtract, parse_ordinal, ord_to_str
+from .quasiorder import json_object
 from .spaces import (QPartition, mask_points, points_mask, cat_quantifier,
                      is_cos, NotOpenSurjectionError, DifferentSpacesError)
 from .terms import (is_singleton, singleton_value, term_decompose, term_tree,
@@ -40,10 +41,9 @@ from .terms import (is_singleton, singleton_value, term_decompose, term_tree,
 
 __all__ = [
     "Base", "borel",
-    "TFamily", "components", "reduce_tfamily", "trivial_tfamily",
-    "level_has_reduction",
+    "TFamily", "components", "reduce_tfamily", "level_has_reduction",
     "UFamily", "WHOLE", "NotDetermined",
-    "InvalidFamilyError", "NoReductError", "NodeNotInTreeError",
+    "InvalidFamilyError", "NoReductError",
     "validate_family", "family_eval", "family_restrict", "family_reduct",
     "family_pullback", "family_pushforward",
     "member", "enumerate_families", "level_mask", "level_set",
@@ -69,10 +69,6 @@ class NoReductError(ValueError):
         super().__init__(f"no reduct for {shown} at the children of node "
                          f"{node_key(node) or 'root'}: the working level "
                          "lacks the reduction property")
-
-
-class NodeNotInTreeError(ValueError):
-    pass
 
 
 # --- bases -------------------------------------------------------------------
@@ -179,6 +175,7 @@ class Base:
 
     @classmethod
     def from_json(cls, space, doc):
+        doc = json_object(doc, "a base")
         steps = []
         for step in doc["steps"]:
             t = parse_ordinal(step["threshold"])
@@ -207,26 +204,22 @@ def borel(space):
 # --- tree-indexed families ----------------------------------------------------
 
 
-def _check_tree_nodes(nodes):
-    nodes = tuple(sorted(tuple(n) for n in nodes))
-    nodeset = set(nodes)
-    if () not in nodeset:
-        raise ValueError("a tree contains the empty node")
-    for n in nodes:
-        if n and n[:-1] not in nodeset:
-            raise ValueError("tree nodes must be prefix-closed")
-        if n and n[-1] > 0 and n[:-1] + (n[-1] - 1,) not in nodeset:
-            raise ValueError("tree nodes must be normal (no sibling gaps)")
-    return nodes
-
-
 class TFamily:
     """Sets indexed by the nodes of a finite normal tree."""
 
     __slots__ = ("nodes", "sets")
 
     def __init__(self, nodes, sets):
-        self.nodes = _check_tree_nodes(nodes)
+        nodes = tuple(sorted(tuple(n) for n in nodes))
+        nodeset = set(nodes)
+        if () not in nodeset:
+            raise ValueError("a tree contains the empty node")
+        for n in nodes:
+            if n and n[:-1] not in nodeset:
+                raise ValueError("tree nodes must be prefix-closed")
+            if n and n[-1] > 0 and n[:-1] + (n[-1] - 1,) not in nodeset:
+                raise ValueError("tree nodes must be normal (no sibling gaps)")
+        self.nodes = nodes
         sets = dict(sets)
         if set(sets) != set(self.nodes):
             raise ValueError("need exactly one set per node")
@@ -240,26 +233,6 @@ class TFamily:
     def is_monotone(self):
         return all(self.sets[n] & ~self.sets[n[:-1]] == 0
                    for n in self.nodes if n)
-
-    def is_reduced(self):
-        if not self.is_monotone():
-            return False
-        for n in self.nodes:
-            kids = self.children(n)
-            for a, b in itertools.combinations(kids, 2):
-                if self.sets[a] & self.sets[b]:
-                    return False
-        return True
-
-    def monotonize(self):
-        """Replace each set by the union over its subtree; components are
-        unchanged by this."""
-        new = {n: 0 for n in self.nodes}
-        for m in self.nodes:
-            for n in self.nodes:
-                if m[:len(n)] == n:
-                    new[n] |= self.sets[m]
-        return TFamily(self.nodes, new)
 
     def __eq__(self, other):
         return (isinstance(other, TFamily) and self.nodes == other.nodes
@@ -347,18 +320,6 @@ def reduce_tfamily(fam, level):
 
     go(())
     return TFamily(fam.nodes, sets)
-
-
-def trivial_tfamily(nodes, rho, carrier):
-    """The unique reduced family whose only nonempty component, the whole
-    carrier, sits at ``rho``: the carrier along the path to ``rho``, empty
-    elsewhere."""
-    nodes = _check_tree_nodes(nodes)
-    rho = tuple(rho)
-    if rho not in nodes:
-        raise NodeNotInTreeError(f"{rho} is not a node of the tree")
-    sets = {n: (carrier if rho[:len(n)] == n else 0) for n in nodes}
-    return TFamily(nodes, sets)
 
 
 def level_has_reduction(level, carrier, max_len=3):
@@ -615,10 +576,9 @@ _LABEL_MASKS = {}  # (points, label count) -> per point, per label masks
 
 
 def clear_caches():
-    """Empty every memo (levels, restricted bases, the term-order tables
-    and term trees); intern tables stay, so values keep their identity."""
-    for memo in (_LEVELS, _RESTRICTS, _LABEL_MASKS, terms._ORDERS,
-                 terms._TREES):
+    """Empty every memo (levels, restricted bases, label masks and term
+    trees); intern tables stay, so values keep their identity."""
+    for memo in (_LEVELS, _RESTRICTS, _LABEL_MASKS, terms._TREES):
         memo.clear()
 
 
@@ -782,13 +742,15 @@ def level_set_enum(space, qo, u, base=None, reduced=False, max_families=None):
 
 
 def family_from_json(space, doc):
+    doc = json_object(doc, "a family")
     if "sets" not in doc or doc.get("whole"):
         return WHOLE
     carrier = space.mask_of_names(doc["carrier"])
     sets = {node_from_key(k): space.mask_of_names(v)
-            for k, v in doc["sets"].items()}
+            for k, v in json_object(doc["sets"], "family sets").items()}
     children = {node_from_key(k): family_from_json(space, sub)
-                for k, sub in doc.get("children", {}).items()}
+                for k, sub in json_object(doc.get("children", {}),
+                                          "family children").items()}
     return UFamily(carrier, sets, children)
 
 

@@ -14,9 +14,9 @@ with nodes written as digit strings (one digit per index, so arities up to
 from __future__ import annotations
 
 import itertools
-import json
 
 from ._memo import PairMemo
+from .quasiorder import json_object
 
 __all__ = [
     "LabeledTree", "hom_leq", "hom_leq_exhaustive", "tree_to_dot",
@@ -71,10 +71,10 @@ class LabeledTree:
 
     @classmethod
     def from_json(cls, doc):
-        if isinstance(doc, str):
-            doc = json.loads(doc)
+        doc = json_object(doc, "a labeled tree")
         nodes = [node_from_key(s) for s in doc["nodes"]]
-        labels = {node_from_key(s): l for s, l in doc["labels"].items()}
+        labels = {node_from_key(s): l for s, l in
+                  json_object(doc["labels"], "tree labels").items()}
         return cls(nodes, labels)
 
     def to_json(self):

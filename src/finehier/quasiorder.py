@@ -1,6 +1,8 @@
 """Finite quasiorders: the label alphabets of the term algebra.
 
 Elements are the integers 0..k-1; JSON documents may attach display names.
+The checks the other modules share live here too: preorder closure and
+validation, and the shape of a JSON document.
 """
 
 from __future__ import annotations
@@ -9,7 +11,17 @@ import itertools
 import json
 
 __all__ = ["Quasiorder", "antichain", "chain", "preorder_closure",
-           "check_preorder"]
+           "check_preorder", "json_object"]
+
+
+def json_object(doc, what):
+    """A JSON document, given as text or parsed, as a dict; a ValueError
+    naming ``what`` when it is not an object."""
+    if isinstance(doc, str):
+        doc = json.loads(doc)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return doc
 
 
 def preorder_closure(size, pairs):
@@ -64,9 +76,12 @@ class Quasiorder:
     def leq(self, i, j):
         return self.le[i][j]
 
-    def is_antichain(self):
-        return all(not self.le[i][j] for i in range(self.size)
-                   for j in range(self.size) if i != j)
+    def check_label(self, v):
+        """Raise unless ``v`` is an element."""
+        if type(v) is not int:  # bool is an int subclass, not a label
+            raise ValueError(f"label {v!r} is not an integer")
+        if not 0 <= v < self.size:
+            raise ValueError(f"label {v} outside the quasiorder")
 
     def automorphisms(self):
         """All permutations g with le[i][j] <=> le[g(i)][g(j)]."""
@@ -99,12 +114,14 @@ class Quasiorder:
 
     @classmethod
     def from_json(cls, doc):
-        if isinstance(doc, str):
-            doc = json.loads(doc)
+        doc = json_object(doc, "a quasiorder")
         size = doc["size"]
+        if type(size) is not int or size < 0:
+            raise ValueError(f"quasiorder size {size!r} is not a natural number")
         names = None
         if "names" in doc:
-            names = [doc["names"].get(str(i), str(i)) for i in range(size)]
+            names = json_object(doc["names"], "quasiorder names")
+            names = [names.get(str(i), str(i)) for i in range(size)]
         return cls.from_pairs(size, [tuple(p) for p in doc.get("le", [])], names)
 
     def to_json(self):

@@ -10,16 +10,15 @@ API boundary.
 from __future__ import annotations
 
 import itertools
-import json
 
-from .quasiorder import check_preorder, preorder_closure
+from .quasiorder import check_preorder, json_object, preorder_closure
 
 __all__ = [
     "FinSpace", "ContMap", "QPartition",
     "NotContinuousError", "NotOpenSurjectionError",
     "DifferentSpacesError", "DifferentQError",
     "mask_points", "points_mask",
-    "sierpinski", "discrete", "chain_space", "product",
+    "sierpinski", "discrete", "product",
     "is_cos", "is_meager", "is_meager_bruteforce", "cat_quantifier",
     "wadge_leq", "monotone_maps", "monotone_selfmaps", "enum_cos",
     "enumerate_posets",
@@ -154,8 +153,7 @@ class FinSpace:
 
     @classmethod
     def from_json(cls, doc):
-        if isinstance(doc, str):
-            doc = json.loads(doc)
+        doc = json_object(doc, "a space")
         return cls.from_pairs(doc["points"], [tuple(p) for p in doc["le"]])
 
     def to_json(self):
@@ -178,10 +176,6 @@ def sierpinski():
 
 def discrete(n, names=None):
     return FinSpace([[i == j for j in range(n)] for i in range(n)], names)
-
-
-def chain_space(n, names=None):
-    return FinSpace([[i <= j for j in range(n)] for i in range(n)], names)
 
 
 def product(X, Y):
@@ -254,9 +248,8 @@ class ContMap:
 
     @classmethod
     def from_json(cls, src, dst, doc):
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        vals = doc["values"] if "values" in doc else doc
+        doc = json_object(doc, "a point map")
+        vals = json_object(doc.get("values", doc), "point map values")
         for x in src.names:
             if x not in vals:
                 raise ValueError(f"point map leaves out source point {x!r}")
@@ -335,13 +328,9 @@ class QPartition:
             raise ValueError("need one entry per point")
         carrier = 0
         for p, v in enumerate(values):
-            if v is None:
-                continue
-            if type(v) is not int:  # bool is an int subclass, not a label
-                raise ValueError(f"label {v!r} is not an integer")
-            if not 0 <= v < qo.size:
-                raise ValueError(f"label {v} outside the quasiorder")
-            carrier |= 1 << p
+            if v is not None:
+                qo.check_label(v)
+                carrier |= 1 << p
         self.space = space
         self.qo = qo
         self.values = values
@@ -381,9 +370,8 @@ class QPartition:
 
     @classmethod
     def from_json(cls, space, qo, doc):
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        vals = doc["values"] if "values" in doc else doc
+        doc = json_object(doc, "a partition")
+        vals = json_object(doc.get("values", doc), "partition values")
         values = [None] * space.n
         for name, v in vals.items():
             values[space.index_of(name)] = v
@@ -436,9 +424,9 @@ def enum_cos(X, Y):
     return tuple(out)
 
 
-def enumerate_posets(n, up_to_iso=True):
-    """All partial orders on n labeled points; with ``up_to_iso`` one
-    representative per isomorphism class (deterministic)."""
+def enumerate_posets(n):
+    """One partial order on n points per isomorphism class
+    (deterministic)."""
     pairs = [(i, j) for i in range(n) for j in range(n) if i < j]
     seen = set()
     out = []
@@ -449,11 +437,10 @@ def enumerate_posets(n, up_to_iso=True):
         le = preorder_closure(n, rel)
         if sum(map(sum, le)) != n + len(rel):
             continue  # the closure adds pairs: not transitive
-        if up_to_iso:
-            canon = min(tuple(le[p[i]][p[j]] for i in range(n) for j in range(n))
-                        for p in itertools.permutations(range(n)))
-            if canon in seen:
-                continue
-            seen.add(canon)
+        canon = min(tuple(le[p[i]][p[j]] for i in range(n) for j in range(n))
+                    for p in itertools.permutations(range(n)))
+        if canon in seen:
+            continue
+        seen.add(canon)
         out.append(FinSpace(le))
     return tuple(out)

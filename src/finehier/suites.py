@@ -16,8 +16,8 @@ from functools import cmp_to_key
 
 from ._memo import PairMemo
 from . import hierarchy
-from .hierarchy import (borel, member, level_mask, family_eval,
-                        family_reduct, enumerate_families, NotDetermined)
+from .hierarchy import (borel, level_mask, family_eval, family_reduct,
+                        enumerate_families, NotDetermined)
 from .labeled_trees import hom_leq
 from .ordinals import (Ordinal, ZERO, from_int, omega_power, ord_cmp,
                        ord_to_str, f_map, wadge_cmp, wadge_from_int,
@@ -262,9 +262,23 @@ def _suite_wadge_closure(cfg, rep):
                         break
 
 
+def _unpreserved(f, qo, xmasks, ymasks, terms):
+    """The pairs (term u, labeling A of the target of ``f``) where A's bit
+    in u's level on the target differs from the bit of A o f in u's level
+    on the source, term by term; ``xmasks`` and ``ymasks`` map each term to
+    its level on the source and on the target."""
+    parts = _partitions(f.dst, qo)
+    pulled = [hierarchy._index([vals[y] for y in f.values], qo.size)
+              for vals in parts]
+    return [(u, vals) for u in terms for i, vals in enumerate(parts)
+            if (ymasks[u] >> i & 1) != (xmasks[u] >> pulled[i] & 1)]
+
+
 def _suite_preservation(cfg, rep):
     xs = _spaces(cfg)
     ys = _spaces(cfg, max_points=min(2, cfg.max_points))
+    S = sierpinski()
+    X4, proj, _ = product(S, discrete(2, names=("0", "1")))
     for k, qo, terms in _label_pools(cfg):
         ymasks = {y: _level_masks(y, qo, terms) for y in ys}
         for X in xs:
@@ -275,32 +289,19 @@ def _suite_preservation(cfg, rep):
                     continue
                 if xmasks is None:
                     xmasks = _level_masks(X, qo, terms)
-                yparts = _partitions(Y, qo)
-                xidx = {vals: i for i, vals in enumerate(_partitions(X, qo))}
                 for f in maps:
-                    pulled = [xidx[tuple(vals[f(x)] for x in range(X.n))]
-                              for vals in yparts]
-                    for u in terms:
-                        xm, ym = xmasks[u], ymasks[Y][u]
-                        for i in range(len(yparts)):
-                            rep.checked += 1
-                            if (ym >> i & 1) != (xm >> pulled[i] & 1):
-                                rep.fail(
-                                    f"k={k} {f!r} {term_to_str(u)} "
-                                    f"{_part_tag(Y, yparts[i])}: membership "
-                                    "is not preserved")
+                    rep.checked += len(terms) * k ** Y.n
+                    for u, vals in _unpreserved(f, qo, xmasks, ymasks[Y],
+                                                terms):
+                        rep.fail(f"k={k} {f!r} {term_to_str(u)} "
+                                 f"{_part_tag(Y, vals)}: membership is not "
+                                 "preserved")
         # the 4-point product projecting onto its first factor
-        S = sierpinski()
-        X4, proj, _ = product(S, discrete(2, names=("0", "1")))
-        xbase = borel(X4)
-        smasks = _level_masks(S, qo, terms)
-        for i, vals in enumerate(_partitions(S, qo)):
-            Af = QPartition(S, qo, vals).precompose(proj)
-            for u in terms:
-                rep.checked += 1
-                if (smasks[u] >> i & 1) != member(Af, u, xbase):
-                    rep.fail(f"k={k} product projection {term_to_str(u)} "
-                             f"{_part_tag(S, vals)}: membership is not preserved")
+        rep.checked += len(terms) * k ** S.n
+        for u, vals in _unpreserved(proj, qo, _level_masks(X4, qo, terms),
+                                    _level_masks(S, qo, terms), terms):
+            rep.fail(f"k={k} product projection {term_to_str(u)} "
+                     f"{_part_tag(S, vals)}: membership is not preserved")
         rep.notes.append(f"k={k} terms={len(terms)}")
 
 
@@ -350,22 +351,25 @@ def _suite_hk(cfg, rep):
                                 constructors=("Const", "Fq"))
         for space in spaces:
             base = borel(space)
-            remaining = dict.fromkeys(_partitions(space, qo))
+            parts = _partitions(space, qo)
+            remaining = (1 << len(parts)) - 1  # labelings without a witness
             witnesses = {}
             for u in terms:
                 if not remaining:
                     break
-                for vals in list(remaining):
-                    if member(QPartition(space, qo, vals), u, base):
-                        witnesses[vals] = u
-                        del remaining[vals]
-            rep.checked += len(witnesses) + len(remaining)
-            for vals in remaining:
-                rep.fail(f"k={k} {_space_tag(space)} {_part_tag(space, vals)}: "
+                found = level_mask(space, qo, u, base) & remaining
+                for i in mask_points(found):
+                    witnesses[i] = u
+                remaining &= ~found
+            rep.checked += len(parts)
+            for i in mask_points(remaining):
+                rep.fail(f"k={k} {_space_tag(space)} "
+                         f"{_part_tag(space, parts[i])}: "
                          f"no witness term within {cfg.max_nodes} nodes")
-            for vals, u in sorted(witnesses.items()):
+            for i, u in sorted(witnesses.items()):
                 rep.notes.append(f"k={k} {_space_tag(space)} "
-                                 f"{_part_tag(space, vals)} <- {term_to_str(u)}")
+                                 f"{_part_tag(space, parts[i])} <- "
+                                 f"{term_to_str(u)}")
 
 
 def _suite_meager_oracle(cfg, rep):

@@ -41,9 +41,9 @@ __all__ = [
     "Const", "Shift", "Fq", "Fo", "Term", "Decomposition",
     "SingletonTermError", "NotAutomorphismError", "TermParseError",
     "SubscriptBoundError",
-    "term_size", "term_rank", "is_singleton", "singleton_value",
+    "term_rank", "is_singleton", "singleton_value",
     "term_decompose", "term_leq", "TermOrder", "term_tree", "term_paths",
-    "term_apply_aut", "term_constants", "check_subscripts", "check_constants",
+    "term_apply_aut", "check_subscripts", "check_constants",
     "parse_term", "term_to_str", "enumerate_terms", "syntax_tree",
 ]
 
@@ -69,11 +69,12 @@ class Const:
     _table = {}
 
     def __new__(cls, q):
+        # checked before the lookup: True would find the constant 1
+        if type(q) is not int or q < 0:
+            raise ValueError("constants are non-negative integers")
         hit = cls._table.get(q)
         if hit is not None:
             return hit
-        if not isinstance(q, int) or q < 0:
-            raise ValueError("constants are non-negative integers")
         self = object.__new__(cls)
         self.q = q
         self.nodes = 1
@@ -121,13 +122,13 @@ class Fq(_Branch):
     _table = {}
 
     def __new__(cls, q, children):
+        if type(q) is not int or q < 0:
+            raise ValueError("constants are non-negative integers")
         children = tuple(children)
         key = (q, children)
         hit = cls._table.get(key)
         if hit is not None:
             return hit
-        if not isinstance(q, int) or q < 0:
-            raise ValueError("constants are non-negative integers")
         if not children:
             raise ValueError("child lists must be nonempty")
         for c in children:
@@ -174,11 +175,6 @@ def _check_term(t):
         raise TypeError(f"not a term: {t!r}")
 
 
-def term_size(u):
-    """Number of nodes of the syntactic tree."""
-    return u.nodes
-
-
 def term_rank(u):
     """Height of the syntactic tree; leaves have rank 0."""
     if isinstance(u, Const):
@@ -220,18 +216,6 @@ def term_decompose(u):
         sh = ord_add(sh, omega_power(u.alpha))
         u = u.body
     return Decomposition(sh, u)
-
-
-def term_constants(u):
-    """The set of constants occurring in a term."""
-    if isinstance(u, Const):
-        return {u.q}
-    if isinstance(u, Shift):
-        return term_constants(u.body)
-    out = {u.q} if isinstance(u, Fq) else set()
-    for c in u.children:
-        out |= term_constants(c)
-    return out
 
 
 def check_subscripts(u, gamma):
@@ -441,17 +425,10 @@ class TermOrder:
         return bool(self.rows[i] >> j & 1)
 
 
-_ORDERS = {}  # label quasiorder -> the table of its latest term_leq miss
-
-
 def term_leq(qo, u, v):
-    """Decide the comparison relation.  Per label quasiorder the table over
-    the closure of the last pair it could not answer is kept, so repeated
-    questions about the same terms read a bit."""
-    order = _ORDERS.get(qo)
-    if order is None or u not in order.index or v not in order.index:
-        order = _ORDERS[qo] = TermOrder(qo, (u, v))
-    return order.leq(u, v)
+    """Decide the comparison relation for one pair, by a table over the
+    closure of the pair."""
+    return TermOrder(qo, (u, v)).leq(u, v)
 
 
 # --- flattening to labeled trees ---------------------------------------------

@@ -5,19 +5,18 @@ import pytest
 from finehier.ordinals import ZERO, ONE, from_int, parse_ordinal, omega_power
 from finehier.quasiorder import antichain
 from finehier.spaces import (FinSpace, ContMap, QPartition, sierpinski,
-                             discrete, chain_space, product, cat_quantifier)
+                             discrete, product, cat_quantifier)
 from finehier.terms import Const, Shift, parse_term, enumerate_terms
 from finehier.hierarchy import (Base, borel, TFamily, components,
-                                reduce_tfamily, trivial_tfamily,
-                                level_has_reduction, UFamily, WHOLE,
-                                NotDetermined, validate_family, family_eval,
+                                reduce_tfamily, level_has_reduction,
+                                UFamily, WHOLE, NotDetermined,
+                                validate_family, family_eval,
                                 family_restrict, family_reduct,
                                 family_pullback, family_pushforward, member,
                                 enumerate_families, level_set,
                                 level_set_enum, family_from_json,
                                 family_to_json, InvalidFamilyError,
-                                NoReductError, NodeNotInTreeError,
-                                clear_caches)
+                                NoReductError, clear_caches)
 from finehier import hierarchy, terms
 
 S = sierpinski()
@@ -25,6 +24,7 @@ D2 = discrete(2, names=("x", "y"))
 Q2 = antichain(2)
 Q3 = antichain(3)
 LAMBDA = FinSpace.from_pairs("abc", [("a", "b"), ("c", "b")])
+CHAIN3 = FinSpace.from_pairs("abc", [("a", "b"), ("b", "c")])
 SUBS = (ZERO, from_int(1))
 
 
@@ -99,7 +99,7 @@ def test_components_examples():
 
 
 def test_component_identities():
-    # union preserved, nested components disjoint, monotonization invariant
+    # union preserved, nested components disjoint
     nodes = [(), (0,), (1,), (0, 0)]
     for sets in itertools.product(range(4), repeat=4):
         fam = TFamily(nodes, dict(zip(nodes, sets)))
@@ -116,7 +116,6 @@ def test_component_identities():
             for b in nodes:
                 if len(b) > len(a) and b[:len(a)] == a:
                     assert comp[a] & comp[b] == 0
-        assert components(fam.monotonize()) == comp
 
 
 def test_union_bound():
@@ -158,23 +157,13 @@ def test_reduce_component_shrinkage():
         if not fam.is_monotone():
             continue
         red = reduce_tfamily(fam, level)
-        assert red.is_reduced()
+        assert red.is_monotone() and red.sets[(0,)] & red.sets[(1,)] == 0
         before, after = components(fam), components(red)
         for n in nodes:
             assert after[n] & ~before[n] == 0
         total_b = fam.sets[(0,)] | fam.sets[(1,)]
         total_a = red.sets[(0,)] | red.sets[(1,)]
         assert total_a == total_b
-
-
-def test_trivial_examples():
-    f = trivial_tfamily([(), (0,)], (0,), S.full)
-    assert f.sets == {(): S.full, (0,): S.full}
-    assert components(f) == {(): 0, (0,): S.full}
-    f = trivial_tfamily([()], (), D2.full)
-    assert f.sets == {(): D2.full}
-    with pytest.raises(NodeNotInTreeError):
-        trivial_tfamily([()], (0,), S.full)
 
 
 # --- iterated families ------------------------------------------------------------
@@ -267,11 +256,10 @@ def test_reduct_needs_the_reduction_property():
 def test_clear_caches_empties_every_memo():
     u = T("Fq[0](s[1](Fq[1](0)))")
     member(QPartition(S, Q2, (0, 1)), u, borel(S))
-    terms.term_leq(Q2, u, u)
+    terms.term_tree(u)
     memos = (hierarchy._LEVELS, hierarchy._RESTRICTS, hierarchy._LABEL_MASKS,
-             terms._ORDERS, terms._TREES)
+             terms._TREES)
     assert all(memos)
-    assert terms._ORDERS[Q2].rows  # the row table of the term order
     clear_caches()
     assert not any(memos)
     assert Const(0) is Const(0)  # intern tables stay
@@ -335,7 +323,7 @@ def test_level_set_examples():
 
 
 def test_level_set_enum_cross_oracle():
-    for space in (S, D2, chain_space(3)):
+    for space in (S, D2, CHAIN3):
         for u in enumerate_terms(2, 3, SUBS):
             fast = {A.values for A in level_set(space, Q2, u)}
             slow = level_set_enum(space, Q2, u)
@@ -353,7 +341,7 @@ def test_reduced_families_always_determine():
 
 
 def test_reduced_enumeration_matches_full_on_reducible_bases():
-    for space in (S, D2, chain_space(3)):
+    for space in (S, D2, CHAIN3):
         for u in enumerate_terms(2, 3, SUBS):
             assert (level_set_enum(space, Q2, u)
                     == level_set_enum(space, Q2, u, reduced=True))

@@ -4,7 +4,7 @@ import pytest
 
 from finehier.quasiorder import antichain, chain
 from finehier.spaces import (FinSpace, ContMap, QPartition, sierpinski,
-                             discrete, chain_space, product, is_cos,
+                             discrete, product, is_cos,
                              is_meager, is_meager_bruteforce, cat_quantifier,
                              wadge_leq, monotone_maps, monotone_selfmaps,
                              enum_cos, enumerate_posets, mask_points,
@@ -14,6 +14,7 @@ from finehier.spaces import (FinSpace, ContMap, QPartition, sierpinski,
 S = sierpinski()
 D2 = discrete(2, names=("x", "y"))
 Q2 = antichain(2)
+CHAIN3 = FinSpace.from_pairs("abc", [("a", "b"), ("b", "c")])
 
 
 def test_space_validation():
@@ -28,7 +29,7 @@ def test_space_validation():
 def test_opens_are_upsets():
     assert [S.set_of_names(m) for m in S.opens()] == [(), ("b",), ("a", "b")]
     assert len(discrete(3).opens()) == 8
-    assert len(chain_space(3).opens()) == 4
+    assert len(CHAIN3.opens()) == 4
 
 
 def test_is_cos_examples():
@@ -106,7 +107,7 @@ def test_wadge_examples():
 
 
 def test_wadge_is_a_quasiorder():
-    space = chain_space(3)
+    space = CHAIN3
     parts = [QPartition(space, Q2, vals)
              for vals in itertools.product(range(2), repeat=3)]
     rel = [[wadge_leq(a, b) for b in parts] for a in parts]
@@ -141,8 +142,6 @@ def test_product_order():
 
 def test_enumerate_posets_counts():
     assert [len(enumerate_posets(n)) for n in (1, 2, 3, 4)] == [1, 2, 5, 16]
-    labeled = enumerate_posets(3, up_to_iso=False)
-    assert len(labeled) == 19  # labeled posets on three points
 
 
 def test_partition_helpers():

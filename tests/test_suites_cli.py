@@ -292,6 +292,57 @@ def test_cli_rejects_constants_outside_the_quasiorder(tmp_path, sierp, argv):
                         "size 2\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("member", "[1, 2]", "--term", "0"), "a partition must be"),
+    (("member", '{"values": [0, 1]}', "--term", "0"),
+     "partition values must be"),
+    (("space", "wadge", "[1, 2]", "[1, 2]"), "a partition must be"),
+    (("space", "wadge", '{"values": [0, 1]}', '{"values": [0, 1]}'),
+     "partition values must be"),
+    (("member", '{"values": {"a": 0}}', "--term", "0",
+      "--q", '{"size": "x"}'), "quasiorder size 'x' is not a natural number"),
+    (("family", "eval", '{"term": "Fq[0](1)", "carrier": ["a", "b"], '
+      '"sets": {"": ["a", "b"], "0": ["b"]}, "children": []}'),
+     "family children must be"),
+    (("family", "eval", "[1, 2]"), "a family must be"),
+    (("space", "check", "--space", "[1, 2]"), "a space must be"),
+])
+def test_cli_rejects_malformed_documents(tmp_path, sierp, argv, message):
+    # every JSON argument goes to a file; --space defaults to the
+    # Sierpinski space
+    argv = [_write(tmp_path, f"d{i}.json", json.loads(a)) if a[0] in "[{"
+            else a for i, a in enumerate(argv)]
+    if "--space" not in argv:
+        argv += ["--space", sierp]
+    assert _assert_usage_error(*argv).startswith(f"error: {message}")
+
+
+def test_cli_homcmp_default_quasiorder_covers_the_labels(capsys, tmp_path):
+    t5 = _write(tmp_path, "t5.json", {"nodes": [""], "labels": {"": 5}})
+    t50 = _write(tmp_path, "t50.json",
+                 {"nodes": ["", "0"], "labels": {"": 0, "0": 5}})
+    code, out, _ = run_cli(capsys, "homcmp", t5, t50)
+    assert code == 0 and out.strip() == "true"
+    code, out, _ = run_cli(capsys, "homcmp", t50, t5)
+    assert code == 0 and out.strip() == "false"
+
+
+@pytest.mark.parametrize("label, q, message", [
+    ("x", None, "label 'x' is not an integer"),
+    (True, None, "label True is not an integer"),
+    (-1, None, "label -1 outside the quasiorder"),
+    (5, {"size": 2, "le": []}, "label 5 outside the quasiorder"),
+])
+def test_cli_homcmp_rejects_bad_labels(tmp_path, label, q, message):
+    bad = _write(tmp_path, "bad.json",
+                 {"nodes": ["", "0"], "labels": {"": 0, "0": label}})
+    good = _write(tmp_path, "good.json", {"nodes": [""], "labels": {"": 1}})
+    argv = ["homcmp", good, bad]
+    if q is not None:
+        argv += ["--q", _write(tmp_path, "q.json", q)]
+    assert _assert_usage_error(*argv) == f"error: {message}\n"
+
+
 def test_cli_family_pull_push(capsys, tmp_path, sierp):
     prod = _write(tmp_path, "p.json", {
         "points": ["a0", "a1", "b0", "b1"],

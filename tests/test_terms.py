@@ -3,7 +3,7 @@ import pytest
 from finehier.labeled_trees import hom_leq
 from finehier.ordinals import ZERO, from_int, parse_ordinal
 from finehier.quasiorder import antichain, chain
-from finehier.terms import (Const, Shift, Fq, Fo, term_size, term_rank,
+from finehier.terms import (Const, Shift, Fq, Fo, term_rank,
                             term_decompose, term_leq, TermOrder, term_tree,
                             term_paths, term_apply_aut, parse_term,
                             term_to_str, enumerate_terms, is_singleton,
@@ -225,7 +225,16 @@ def test_enumeration_counts():
 
 def test_term_interning_and_size():
     assert Fq(0, (Const(1),)) is Fq(0, (Const(1),))
-    assert term_size(T("Fo[1](0,Fq[1](0))")) == 4
+    assert T("Fo[1](0,Fq[1](0))").nodes == 4
     assert singleton_value(T("s[1](s[0](1))")) == 1
     with pytest.raises(ValueError):
         Fq(0, ())
+
+
+@pytest.mark.parametrize("make", [Const, lambda q: Fq(q, (Const(0),))])
+@pytest.mark.parametrize("q", [True, False, 1.0])
+def test_constants_are_plain_integers(make, q):
+    # True, False and 1.0 equal a label, under which they would be interned
+    with pytest.raises(ValueError, match="non-negative integers"):
+        make(q)
+    assert term_to_str(Const(1)) == "1" and type(Const(1).q) is int
