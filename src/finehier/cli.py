@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .hierarchy import (borel, Base, member, level_set, family_eval,
                         family_reduct, family_pullback, family_pushforward,
@@ -246,12 +247,8 @@ def _cmd_levelset(args):
 
 
 def _cmd_check(args):
-    cfg = SuiteConfig(suite=args.suite, max_nodes=args.max_nodes,
-                      max_subscript=args.max_subscript,
-                      max_points=args.max_points, max_q=args.max_q,
-                      max_children=args.max_children, seed=args.seed,
-                      sample=args.sample, families=args.families,
-                      out=args.out)
+    cfg = SuiteConfig(**{f.name: getattr(args, f.name)
+                         for f in fields(SuiteConfig)})
     rep = run_suite(cfg)
     if args.json:
         print(json.dumps(rep.to_json(), sort_keys=True, indent=2))
@@ -378,15 +375,13 @@ def build_parser():
 
     p = sub.add_parser("check", help="run a property suite")
     p.add_argument("suite", choices=SUITE_NAMES)
-    p.add_argument("--max-nodes", type=int, default=4)
-    p.add_argument("--max-subscript", type=int, default=1)
-    p.add_argument("--max-points", type=int, default=3)
-    p.add_argument("--max-q", type=int, default=3)
-    p.add_argument("--max-children", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sample", type=int, default=100000)
-    p.add_argument("--families", type=int, default=1000)
-    p.add_argument("--out", metavar="PATH")
+    # one option per configuration field, with the field's default
+    for f in fields(SuiteConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if f.name == "out":
+            p.add_argument(flag, metavar="PATH")
+        elif f.name != "suite":
+            p.add_argument(flag, type=int, default=f.default)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_check)
 

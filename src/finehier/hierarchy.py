@@ -7,7 +7,7 @@ its complements sits inside every later level, and the last level is the
 full power set (so arbitrary ordinal shifts stay total).  The stock example
 grades a finite T0 space by (opens, everything).
 
-A *T-family* indexes sets by the nodes of a finite tree; its *components*
+A *T-family* is a finite tree labeled by sets; its *components*
 subtract everything at strictly deeper nodes.  A *u-family* nests
 T-families along the flattened tree of a term: nodes with singleton labels
 terminate and carry that label's constant, nodes with shift labels carry a
@@ -31,9 +31,9 @@ import itertools
 from dataclasses import dataclass
 
 from . import terms
-from .labeled_trees import node_key, node_from_key
+from .labeled_trees import LabeledTree, node_key, node_from_key
 from .ordinals import ZERO, ONE, ord_cmp, left_subtract, parse_ordinal, ord_to_str
-from .quasiorder import json_object
+from .quasiorder import json_list, json_object
 from .spaces import (QPartition, mask_points, points_mask, cat_quantifier,
                      is_cos, NotOpenSurjectionError, DifferentSpacesError)
 from .terms import (is_singleton, singleton_value, term_decompose, term_tree,
@@ -177,12 +177,13 @@ class Base:
     def from_json(cls, space, doc):
         doc = json_object(doc, "a base")
         steps = []
-        for step in doc["steps"]:
+        for step in json_list(doc["steps"], "base steps", dict):
             t = parse_ordinal(step["threshold"])
-            lvl = tuple(space.mask_of_names(s) for s in step["sets"])
+            lvl = tuple(map(space.mask_of_names,
+                            json_list(step["sets"], "base step sets", list)))
             steps.append((t, lvl))
-        carrier = space.mask_of_names(doc["carrier"]) if "carrier" in doc \
-            else space.full
+        carrier = (space.mask_of_names(json_list(doc["carrier"], "base carrier"))
+                   if "carrier" in doc else space.full)
         return cls(space, carrier, steps)
 
     def to_json(self):
@@ -204,31 +205,21 @@ def borel(space):
 # --- tree-indexed families ----------------------------------------------------
 
 
-class TFamily:
-    """Sets indexed by the nodes of a finite normal tree."""
+class TFamily(LabeledTree):
+    """Sets indexed by the nodes of a finite normal tree: a tree labeled by
+    sets."""
 
-    __slots__ = ("nodes", "sets")
+    __slots__ = ()
 
     def __init__(self, nodes, sets):
-        nodes = tuple(sorted(tuple(n) for n in nodes))
-        nodeset = set(nodes)
-        if () not in nodeset:
-            raise ValueError("a tree contains the empty node")
-        for n in nodes:
-            if n and n[:-1] not in nodeset:
-                raise ValueError("tree nodes must be prefix-closed")
-            if n and n[-1] > 0 and n[:-1] + (n[-1] - 1,) not in nodeset:
+        super().__init__(nodes, sets)
+        for n in self.nodes:
+            if n and n[-1] and n[:-1] + (n[-1] - 1,) not in self.labels:
                 raise ValueError("tree nodes must be normal (no sibling gaps)")
-        self.nodes = nodes
-        sets = dict(sets)
-        if set(sets) != set(self.nodes):
-            raise ValueError("need exactly one set per node")
-        self.sets = sets
 
-    def children(self, node):
-        d = len(node)
-        return tuple(n for n in self.nodes
-                     if len(n) == d + 1 and n[:d] == node)
+    @property
+    def sets(self):
+        return self.labels
 
     def is_monotone(self):
         return all(self.sets[n] & ~self.sets[n[:-1]] == 0
@@ -246,18 +237,12 @@ def components(fam):
     """The set at each node minus everything at strictly deeper nodes, for
     a T-family or the top tree of a u-family."""
     sets = fam.sets
-    out = {}
-    for n, s in sets.items():
-        deeper = 0
-        for m, t in sets.items():
-            if len(m) > len(n) and m[:len(n)] == n:
-                deeper |= t
-        out[n] = s & ~deeper
-    return out
-
-
-def _popcount(m):
-    return bin(m).count("1")
+    deeper = dict.fromkeys(sets, 0)
+    # deepest first, so a node's union is complete before its parent reads it
+    for n in sorted(sets, key=len, reverse=True):
+        if n:
+            deeper[n[:-1]] |= sets[n] | deeper[n]
+    return {n: s & ~deeper[n] for n, s in sets.items()}
 
 
 def _reduce_sequence(sets, level):
@@ -270,7 +255,7 @@ def _reduce_sequence(sets, level):
     for s in sets:
         total |= s
     cands = [sorted((m for m in level if m & ~s == 0),
-                    key=lambda m: (-_popcount(m), m)) for s in sets]
+                    key=lambda m: (-m.bit_count(), m)) for s in sets]
     suffix = [0] * (k + 1)
     for i in range(k - 1, -1, -1):
         acc = 0
@@ -322,13 +307,13 @@ def reduce_tfamily(fam, level):
     return TFamily(fam.nodes, sets)
 
 
-def level_has_reduction(level, carrier, max_len=3):
-    """Bounded check that every short sequence from the level admits a
-    pairwise-disjoint refinement with the same union inside the level.
-    ``max_len`` bounds the sequence length (existence of a refinement is
-    permutation-invariant, so unordered selections suffice)."""
+def level_has_reduction(level):
+    """Bounded check that every sequence of at most three sets from the
+    level admits a pairwise-disjoint refinement with the same union inside
+    the level (existence of a refinement is permutation-invariant, so
+    unordered selections suffice)."""
     level = tuple(sorted(set(level)))
-    for k in range(1, max_len + 1):
+    for k in range(1, 4):
         for seq in itertools.combinations_with_replacement(level, k):
             if _reduce_sequence(seq, level) is None:
                 return False
@@ -385,19 +370,26 @@ class NotDetermined:
                                  "labels": list(self.labels)}}
 
 
+def _working(u, base):
+    """The working base of a non-singleton term (``base`` shifted by the
+    term's shift part) and the flattened tree of its core."""
+    dec = term_decompose(u)
+    return base.shift(dec.shift), term_tree(dec.core)
+
+
 def validate_family(F, u, base):
     """Structural and level-membership validation of a family for a term
-    over a base (whose carrier is the family's carrier)."""
+    over a base (whose carrier is the family's carrier).  Returns the
+    terminating pieces (component mask, constant) across all nesting
+    levels."""
     if is_singleton(u):
         if F is not WHOLE:
             raise InvalidFamilyError(
                 f"a singleton term takes the whole-carrier marker, got {F!r}")
-        return
+        return [(base.carrier, singleton_value(u))]
     if F is WHOLE:
         raise InvalidFamilyError(f"{term_to_str(u)} needs an explicit family")
-    dec = term_decompose(u)
-    b2 = base.shift(dec.shift)
-    tree = term_tree(dec.core)
+    b2, tree = _working(u, base)
     if F.carrier != base.carrier:
         raise InvalidFamilyError("family carrier differs from the base carrier")
     if set(F.sets) != set(tree.nodes):
@@ -412,6 +404,7 @@ def validate_family(F, u, base):
     if F.sets[()] != base.carrier:
         raise InvalidFamilyError("the root set must be the whole carrier")
     comps = components(F)
+    pieces = []
     for node in tree.nodes:
         lab = tree.labels[node]
         child = F.children.get(node)
@@ -419,33 +412,17 @@ def validate_family(F, u, base):
             if child is not None and child is not WHOLE:
                 raise InvalidFamilyError(
                     f"node {node} has a singleton label and takes no nested family")
+            pieces.append((comps[node], singleton_value(lab)))
         else:
             if child is None:
                 raise InvalidFamilyError(f"missing nested family at {node}")
-            validate_family(child, lab, b2.restrict(comps[node]))
+            pieces += validate_family(child, lab, b2.restrict(comps[node]))
+    return pieces
 
 
-def _terminating_pieces(F, u, base, out):
-    """Collect (component mask, constant) across all nesting levels."""
-    if is_singleton(u):
-        out.append((base.carrier, singleton_value(u)))
-        return
-    dec = term_decompose(u)
-    b2 = base.shift(dec.shift)
-    tree = term_tree(dec.core)
-    comps = components(F)
-    for node in tree.nodes:
-        lab = tree.labels[node]
-        if is_singleton(lab):
-            out.append((comps[node], singleton_value(lab)))
-        else:
-            _terminating_pieces(F.children[node], lab,
-                                b2.restrict(comps[node]), out)
-
-
-def _eval_pieces(F, u, base, qo):
-    pieces = []
-    _terminating_pieces(F, u, base, pieces)
+def _eval_pieces(pieces, base, qo):
+    """The partition the terminating pieces assign to the base's carrier,
+    or a `NotDetermined` witness."""
     space = base.space
     values = [None] * space.n
     conflicts = {}
@@ -468,8 +445,7 @@ def family_eval(F, u, base, qo):
     """Run the mind-change evaluation.  Returns the determined partition of
     the carrier, or a `NotDetermined` witness (one point and its clashing
     constants)."""
-    validate_family(F, u, base)
-    return _eval_pieces(F, u, base, qo)
+    return _eval_pieces(validate_family(F, u, base), base, qo)
 
 
 def _family_map_masks(F, fn):
@@ -499,9 +475,7 @@ def family_reduct(F, u, base):
     def go(F, u, base):
         if F is WHOLE:
             return WHOLE
-        dec = term_decompose(u)
-        b2 = base.shift(dec.shift)
-        tree = term_tree(dec.core)
+        b2, tree = _working(u, base)
         try:
             rtf = reduce_tfamily(TFamily(tree.nodes, F.sets), b2.level0)
         except NoReductError as exc:
@@ -547,8 +521,7 @@ def family_pushforward(f, F, u, base_source):
     def go(F, u, dst_carrier):
         if F is WHOLE:
             return WHOLE
-        dec = term_decompose(u)
-        tree = term_tree(dec.core)
+        tree = term_tree(term_decompose(u).core)
         newsets = {n: cat_quantifier(f, m) & dst_carrier
                    for n, m in F.sets.items()}
         # the clipped image of the root is exactly the new carrier: the new
@@ -654,18 +627,14 @@ def member(A, u, base):
     return bool(mask >> _index(A.values, A.qo.size) & 1)
 
 
-def enumerate_families(u, base, reduced=False):
+def enumerate_families(u, base):
     """All structurally valid families for a term over a base, depth-first,
-    deterministic.  With ``reduced`` only families with pairwise disjoint
-    siblings at every nesting level are produced."""
+    deterministic."""
     if is_singleton(u):
         yield WHOLE
         return
-    dec = term_decompose(u)
-    b2 = base.shift(dec.shift)
-    tree = term_tree(dec.core)
+    b2, tree = _working(u, base)
     nodes = tree.nodes
-    cands = b2.level0
     snodes = [n for n in nodes if not is_singleton(tree.labels[n])]
 
     def assign(i, sets):
@@ -673,23 +642,16 @@ def enumerate_families(u, base, reduced=False):
             yield dict(sets)
             return
         node = nodes[i]
-        if node == ():
-            sets[node] = base.carrier
-            yield from assign(i + 1, sets)
-            del sets[node]
-            return
         pm = sets[node[:-1]]
-        for m in cands:
+        for m in b2.level0:
             if m & ~pm:
-                continue
-            if reduced and any(
-                    sets.get(node[:-1] + (j,), 0) & m for j in range(node[-1])):
                 continue
             sets[node] = m
             yield from assign(i + 1, sets)
             del sets[node]
 
-    for sets in assign(0, {}):
+    # the sorted nodes put the root, which holds the carrier, first
+    for sets in assign(1, {(): base.carrier}):
         # only nested families need the components
         comps = components(TFamily(nodes, sets)) if snodes else {}
 
@@ -699,7 +661,7 @@ def enumerate_families(u, base, reduced=False):
                 return
             n = snodes[j]
             for sub in enumerate_families(tree.labels[n],
-                                          b2.restrict(comps[n]), reduced):
+                                          b2.restrict(comps[n])):
                 acc[n] = sub
                 yield from rec(j + 1, acc)
             acc.pop(n, None)
@@ -720,19 +682,19 @@ def level_set(space, qo, u, base=None):
                  if mask >> _index(values, qo.size) & 1)
 
 
-def level_set_enum(space, qo, u, base=None, reduced=False, max_families=None):
-    """The level computed the slow way: evaluate every family and collect
-    the determined partitions.  Cross-oracle for `level_set`/`member`;
-    ``max_families`` aborts oversized searches."""
+def level_set_enum(space, qo, u, base=None, max_families=None):
+    """The level computed the slow way: validate and evaluate every family
+    and collect the determined partitions.  Cross-oracle for
+    `level_set`/`member`; ``max_families`` aborts oversized searches."""
     if base is None:
         base = borel(space)
     seen = set()
     count = 0
-    for F in enumerate_families(u, base, reduced=reduced):
+    for F in enumerate_families(u, base):
         count += 1
         if max_families is not None and count > max_families:
             raise RuntimeError("enumeration budget exceeded")
-        res = _eval_pieces(F, u, base, qo)
+        res = _eval_pieces(validate_family(F, u, base), base, qo)
         if isinstance(res, QPartition):
             seen.add(res.values)
     return seen
@@ -745,8 +707,9 @@ def family_from_json(space, doc):
     doc = json_object(doc, "a family")
     if "sets" not in doc or doc.get("whole"):
         return WHOLE
-    carrier = space.mask_of_names(doc["carrier"])
-    sets = {node_from_key(k): space.mask_of_names(v)
+    carrier = space.mask_of_names(json_list(doc["carrier"], "family carrier"))
+    sets = {node_from_key(k):
+            space.mask_of_names(json_list(v, f"family set {k!r}"))
             for k, v in json_object(doc["sets"], "family sets").items()}
     children = {node_from_key(k): family_from_json(space, sub)
                 for k, sub in json_object(doc.get("children", {}),
@@ -759,8 +722,7 @@ def family_to_json(space, F, u):
     if F is WHOLE:
         doc["whole"] = True
         return doc
-    dec = term_decompose(u)
-    tree = term_tree(dec.core)
+    tree = term_tree(term_decompose(u).core)
     doc["carrier"] = list(space.set_of_names(F.carrier))
     doc["sets"] = {node_key(n): list(space.set_of_names(m))
                    for n, m in sorted(F.sets.items())}

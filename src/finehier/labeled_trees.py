@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 
 from ._memo import PairMemo
-from .quasiorder import json_object
+from .quasiorder import json_list, json_object
 
 __all__ = [
     "LabeledTree", "hom_leq", "hom_leq_exhaustive", "tree_to_dot",
@@ -72,7 +72,8 @@ class LabeledTree:
     @classmethod
     def from_json(cls, doc):
         doc = json_object(doc, "a labeled tree")
-        nodes = [node_from_key(s) for s in doc["nodes"]]
+        nodes = [node_from_key(s)
+                 for s in json_list(doc["nodes"], "tree nodes", str)]
         labels = {node_from_key(s): l for s, l in
                   json_object(doc["labels"], "tree labels").items()}
         return cls(nodes, labels)
@@ -165,9 +166,9 @@ def hom_leq_exhaustive(T, V, label_leq):
     return False
 
 
-def tree_to_dot(tree, label_str=str, name="tree"):
+def tree_to_dot(tree, label_str=str):
     key = lambda n: "n" + "_".join(str(i) for i in n) if n else "root"
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph tree {"]
     for n in tree.nodes:
         lines.append(f'  {key(n)} [label="{label_str(tree.labels[n])}"];')
     for n in tree.nodes:

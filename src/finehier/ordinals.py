@@ -200,6 +200,8 @@ class LiteralParser:
     MAX_DEPTH = 100
 
     def __init__(self, text):
+        if not isinstance(text, str):
+            raise self.Error(f"a literal must be a string, got {text!r}")
         self.toks, self.i, self.depth, pos = [], 0, 0, 0
         while pos < len(text):
             m = self.TOKEN.match(text, pos)

@@ -11,7 +11,7 @@ import itertools
 import json
 
 __all__ = ["Quasiorder", "antichain", "chain", "preorder_closure",
-           "check_preorder", "json_object"]
+           "check_preorder", "json_object", "json_list"]
 
 
 def json_object(doc, what):
@@ -21,6 +21,16 @@ def json_object(doc, what):
         doc = json.loads(doc)
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object")
+    return doc
+
+
+def json_list(doc, what, item=object):
+    """A field of a JSON document as a list whose members are of type
+    ``item``; a ValueError naming ``what`` when it has another shape."""
+    if not isinstance(doc, list) or not all(isinstance(x, item) for x in doc):
+        kind = {object: "", list: " of arrays", dict: " of objects",
+                str: " of strings"}[item]
+        raise ValueError(f"{what} must be a JSON array{kind}")
     return doc
 
 
@@ -122,7 +132,8 @@ class Quasiorder:
         if "names" in doc:
             names = json_object(doc["names"], "quasiorder names")
             names = [names.get(str(i), str(i)) for i in range(size)]
-        return cls.from_pairs(size, [tuple(p) for p in doc.get("le", [])], names)
+        pairs = json_list(doc.get("le", []), "quasiorder pairs", list)
+        return cls.from_pairs(size, [tuple(p) for p in pairs], names)
 
     def to_json(self):
         pairs = [[i, j] for i in range(self.size)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 
-from .quasiorder import check_preorder, json_object, preorder_closure
+from .quasiorder import (check_preorder, json_object, json_list,
+                         preorder_closure)
 
 __all__ = [
     "FinSpace", "ContMap", "QPartition",
@@ -154,7 +155,9 @@ class FinSpace:
     @classmethod
     def from_json(cls, doc):
         doc = json_object(doc, "a space")
-        return cls.from_pairs(doc["points"], [tuple(p) for p in doc["le"]])
+        pairs = json_list(doc["le"], "space order pairs", list)
+        return cls.from_pairs(json_list(doc["points"], "space points"),
+                              [tuple(p) for p in pairs])
 
     def to_json(self):
         pairs = [[self.names[i], self.names[j]] for i in range(self.n)

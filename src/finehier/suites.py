@@ -37,6 +37,11 @@ class UnknownSuiteError(ValueError):
     pass
 
 
+# the least value of each bounded field (max_children None is unbounded)
+_LEAST = {"max_nodes": 1, "max_subscript": 0, "max_points": 1, "max_q": 1,
+          "max_children": 0, "sample": 0, "families": 0}
+
+
 @dataclass
 class SuiteConfig:
     suite: str
@@ -51,10 +56,10 @@ class SuiteConfig:
     out: str | None = None
 
     def __post_init__(self):
-        for name in ("max_nodes", "max_subscript", "max_points", "max_q"):
-            if getattr(self, name) < 0 or (name != "max_subscript"
-                                           and getattr(self, name) < 1):
-                raise ValueError(f"{name} must be positive")
+        for name, least in _LEAST.items():
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be at least {least}")
 
 
 @dataclass

@@ -81,9 +81,9 @@ def test_base_json_round_trip():
 
 
 def test_level_reduction_examples():
-    assert level_has_reduction(borel(S).level0, S.full)
-    assert not level_has_reduction(borel(LAMBDA).level0, LAMBDA.full)
-    assert level_has_reduction(borel(LAMBDA).level(ONE), LAMBDA.full)
+    assert level_has_reduction(borel(S).level0)
+    assert not level_has_reduction(borel(LAMBDA).level0)
+    assert level_has_reduction(borel(LAMBDA).level(ONE))
 
 
 # --- tree families ---------------------------------------------------------------
@@ -96,6 +96,47 @@ def test_components_examples():
     assert components(f) == {(): 0, (0,): 3, (1,): 3}
     f = TFamily([(), (0,)], {(): 0, (0,): 0})
     assert components(f) == {(): 0, (0,): 0}
+
+
+@pytest.mark.parametrize("nodes, sets, message", [
+    ([(0,)], {(0,): 1}, "empty node"),
+    ([(), (1,)], {(): 3, (1,): 1}, "no sibling gaps"),
+    ([(), (0,), (0, 0, 0)], {(): 3, (0,): 1, (0, 0, 0): 1}, "prefix-closed"),
+    ([(), (0,)], {(): 3}, "labeling must be total"),
+])
+def test_tfamily_rejects_invalid_trees(nodes, sets, message):
+    with pytest.raises(ValueError, match=message):
+        TFamily(nodes, sets)
+
+
+def _normal_trees(max_nodes):
+    """Every normal tree of at most ``max_nodes`` nodes, as sorted nodes,
+    grown by giving some node its next child."""
+    trees = frontier = {((),)}
+    for _ in range(max_nodes - 1):
+        grown = set()
+        for t in frontier:
+            for n in t:
+                kids = sum(1 for m in t if m and m[:-1] == n)
+                grown.add(tuple(sorted(t + (n + (kids,),))))
+        trees = trees | grown
+        frontier = grown
+    return sorted(trees)
+
+
+def test_components_match_subtracting_everything_deeper():
+    trees = _normal_trees(4)
+    assert len(trees) == 9
+    for nodes in trees:
+        for sets in itertools.product(range(4), repeat=len(nodes)):
+            fam = TFamily(nodes, dict(zip(nodes, sets)))
+            want = {}
+            for n, s in fam.sets.items():
+                for m, t in fam.sets.items():
+                    if len(m) > len(n) and m[:len(n)] == n:
+                        s &= ~t
+                want[n] = s
+            assert components(fam) == want
 
 
 def test_component_identities():
@@ -204,10 +245,9 @@ def test_validation_errors():
 
 
 def test_invariants_raise_without_assert():
-    # an unvalidated family whose root misses b leaves b uncovered
+    # pieces that miss b leave b uncovered
     with pytest.raises(RuntimeError):
-        hierarchy._eval_pieces(UFamily(S.full, {(): 1, (0,): 0}),
-                               T("Fq[0](1)"), borel(S), Q2)
+        hierarchy._eval_pieces([(1, 0)], borel(S), Q2)
 
 
 def test_shift_labels_use_shifted_level():
@@ -245,7 +285,7 @@ def test_reduct_needs_the_reduction_property():
     F = UFamily(V.full, {(): V.full, (0,): V.mask_of_names("ac"),
                          (1,): V.mask_of_names("bc")})
     assert family_eval(F, u, borel(V), Q2).values == (0, 0, 0)
-    assert not level_has_reduction(borel(V).level0, V.full)
+    assert not level_has_reduction(borel(V).level0)
     with pytest.raises(NoReductError) as exc:
         family_reduct(F, u, borel(V))
     assert str(exc.value).startswith(
@@ -330,21 +370,39 @@ def test_level_set_enum_cross_oracle():
             assert fast == slow, (space, u)
 
 
+def _is_reduced(F):
+    """Are siblings pairwise disjoint at every nesting level?"""
+    if F is WHOLE:
+        return True
+    return (all(F.sets[n] & F.sets[n[:-1] + (j,)] == 0
+                for n in F.sets if n for j in range(n[-1]))
+            and all(map(_is_reduced, F.children.values())))
+
+
+def _reduced_families(u, base):
+    return [F for F in enumerate_families(u, base) if _is_reduced(F)]
+
+
 def test_reduced_families_always_determine():
     for space in (S, D2):
         base = borel(space)
         for text in ("Fq[0](1,0)", "Fq[1](0)", "Fo[1](0,1)", "s[1](Fq[0](1,0))"):
             u = T(text)
-            for F in enumerate_families(u, base, reduced=True):
+            families = _reduced_families(u, base)
+            assert families
+            for F in families:
                 res = family_eval(F, u, base, Q2)
                 assert not isinstance(res, NotDetermined)
 
 
 def test_reduced_enumeration_matches_full_on_reducible_bases():
     for space in (S, D2, CHAIN3):
+        base = borel(space)
         for u in enumerate_terms(2, 3, SUBS):
-            assert (level_set_enum(space, Q2, u)
-                    == level_set_enum(space, Q2, u, reduced=True))
+            reduced = {res.values for res in (family_eval(F, u, base, Q2)
+                                              for F in _reduced_families(u, base))
+                       if isinstance(res, QPartition)}
+            assert level_set_enum(space, Q2, u) == reduced
 
 
 def test_shift_law_small():

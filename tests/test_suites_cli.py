@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from finehier import suites
-from finehier.cli import main
+from finehier.cli import build_parser, main
 from finehier.labeled_trees import hom_leq
 from finehier.quasiorder import antichain
 from finehier.suites import SuiteConfig, SuiteReport, run_suite, \
@@ -315,6 +315,54 @@ def test_cli_rejects_malformed_documents(tmp_path, sierp, argv, message):
     if "--space" not in argv:
         argv += ["--space", sierp]
     assert _assert_usage_error(*argv).startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("space", "check", "--space", '{"points": 5, "le": []}'),
+     "space points must be a JSON array"),
+    (("space", "check", "--space", '{"points": ["a"], "le": [5]}'),
+     "space order pairs must be a JSON array of arrays"),
+    (("homcmp", '{"nodes": [0], "labels": {"": 0}}',
+      '{"nodes": [""], "labels": {"": 0}}'),
+     "tree nodes must be a JSON array of strings"),
+    (("levelset", "--term", "Fq[0](1)", "--base", '{"steps": 5}'),
+     "base steps must be a JSON array of objects"),
+    (("levelset", "--term", "Fq[0](1)", "--base",
+      '{"steps": [{"threshold": "0", "sets": 3}]}'),
+     "base step sets must be a JSON array of arrays"),
+    (("term", "cmp", "Fq[0](1)", "1", "--q", '{"size": 2, "le": 5}'),
+     "quasiorder pairs must be a JSON array of arrays"),
+    (("family", "eval", '{"term": "Fq[0](1)", "carrier": ["a", "b"], '
+      '"sets": {"": ["a", "b"], "0": 5}}'), "family set '0' must be"),
+    (("family", "eval", '{"term": "Fq[0](1)", "carrier": 5, '
+      '"sets": {"": ["a", "b"], "0": ["b"]}}'), "family carrier must be"),
+    (("family", "eval", '{"term": 5, "carrier": ["a", "b"], '
+      '"sets": {"": ["a", "b"], "0": ["b"]}}'), "a literal must be a string"),
+    (("levelset", "--term", "Fq[0](1)", "--base",
+      '{"steps": [{"threshold": 0, "sets": [[]]}]}'),
+     "a literal must be a string"),
+])
+def test_cli_rejects_fields_of_the_wrong_type(tmp_path, sierp, argv, message):
+    argv = [_write(tmp_path, f"d{i}.json", json.loads(a)) if a[0] in "[{"
+            else a for i, a in enumerate(argv)]
+    if argv[0] in ("levelset", "family"):
+        argv += ["--space", sierp]
+    assert _assert_usage_error(*argv).startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("flag", ["--max-children", "--sample", "--families"])
+def test_cli_rejects_negative_bounds(flag):
+    name = flag[2:].replace("-", "_")
+    assert (_assert_usage_error("check", "reduct", flag, "-1")
+            == f"error: {name} must be at least 0\n")
+    with pytest.raises(ValueError):
+        SuiteConfig(suite="reduct", **{name: -1})
+
+
+def test_cli_check_defaults_are_the_config_defaults():
+    args = build_parser().parse_args(["check", "fmap"])
+    cfg = SuiteConfig(suite="fmap")
+    assert {name: getattr(args, name) for name in vars(cfg)} == vars(cfg)
 
 
 def test_cli_homcmp_default_quasiorder_covers_the_labels(capsys, tmp_path):
