@@ -250,6 +250,9 @@ def _cmd_check(args):
     cfg = SuiteConfig(**{f.name: getattr(args, f.name)
                          for f in fields(SuiteConfig)})
     rep = run_suite(cfg)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(rep.text())
     if args.json:
         print(json.dumps(rep.to_json(), sort_keys=True, indent=2))
     else:
@@ -375,13 +378,12 @@ def build_parser():
 
     p = sub.add_parser("check", help="run a property suite")
     p.add_argument("suite", choices=SUITE_NAMES)
-    # one option per configuration field, with the field's default
-    for f in fields(SuiteConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if f.name == "out":
-            p.add_argument(flag, metavar="PATH")
-        elif f.name != "suite":
-            p.add_argument(flag, type=int, default=f.default)
+    # one option per bound, the fields after the suite name, with the
+    # field's default
+    for f in fields(SuiteConfig)[1:]:
+        p.add_argument("--" + f.name.replace("_", "-"), type=int,
+                       default=f.default)
+    p.add_argument("--out", metavar="PATH", help="also write the text report")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_check)
 

@@ -31,9 +31,9 @@ import itertools
 from dataclasses import dataclass
 
 from . import terms
-from .labeled_trees import LabeledTree, node_key, node_from_key
+from .labeled_trees import LabeledTree, node_key
 from .ordinals import ZERO, ONE, ord_cmp, left_subtract, parse_ordinal, ord_to_str
-from .quasiorder import json_list, json_object
+from .quasiorder import json_list, json_node, json_object
 from .spaces import (QPartition, mask_points, points_mask, cat_quantifier,
                      is_cos, NotOpenSurjectionError, DifferentSpacesError)
 from .terms import (is_singleton, singleton_value, term_decompose, term_tree,
@@ -175,9 +175,10 @@ class Base:
 
     @classmethod
     def from_json(cls, space, doc):
-        doc = json_object(doc, "a base")
+        doc = json_object(doc, "a base", "steps")
         steps = []
         for step in json_list(doc["steps"], "base steps", dict):
+            json_object(step, "a base step", "threshold", "sets")
             t = parse_ordinal(step["threshold"])
             lvl = tuple(map(space.mask_of_names,
                             json_list(step["sets"], "base step sets", list)))
@@ -707,11 +708,12 @@ def family_from_json(space, doc):
     doc = json_object(doc, "a family")
     if "sets" not in doc or doc.get("whole"):
         return WHOLE
+    json_object(doc, "a family", "carrier")
     carrier = space.mask_of_names(json_list(doc["carrier"], "family carrier"))
-    sets = {node_from_key(k):
+    sets = {json_node(k, "family set key"):
             space.mask_of_names(json_list(v, f"family set {k!r}"))
             for k, v in json_object(doc["sets"], "family sets").items()}
-    children = {node_from_key(k): family_from_json(space, sub)
+    children = {json_node(k, "family child key"): family_from_json(space, sub)
                 for k, sub in json_object(doc.get("children", {}),
                                           "family children").items()}
     return UFamily(carrier, sets, children)

@@ -16,21 +16,17 @@ from __future__ import annotations
 import itertools
 
 from ._memo import PairMemo
-from .quasiorder import json_list, json_object
+from .quasiorder import json_list, json_node, json_object
 
 __all__ = [
     "LabeledTree", "hom_leq", "hom_leq_exhaustive", "tree_to_dot",
-    "node_key", "node_from_key",
+    "node_key",
 ]
 
 
 def node_key(node):
     """The digit-string form of a node, as in the JSON documents."""
     return "".join(str(i) for i in node)
-
-
-def node_from_key(key):
-    return tuple(int(ch) for ch in key)
 
 
 class LabeledTree:
@@ -71,10 +67,10 @@ class LabeledTree:
 
     @classmethod
     def from_json(cls, doc):
-        doc = json_object(doc, "a labeled tree")
-        nodes = [node_from_key(s)
+        doc = json_object(doc, "a labeled tree", "nodes", "labels")
+        nodes = [json_node(s, "tree node")
                  for s in json_list(doc["nodes"], "tree nodes", str)]
-        labels = {node_from_key(s): l for s, l in
+        labels = {json_node(s, "tree label key"): l for s, l in
                   json_object(doc["labels"], "tree labels").items()}
         return cls(nodes, labels)
 

@@ -191,12 +191,16 @@ def left_subtract(beta, alpha):
 # --- literal parsing and printing -------------------------------------------
 
 
-class LiteralParser:
-    """Tokenizer and token cursor shared by the literal parsers; a subclass
-    sets the token regex ``TOKEN`` (one group per token) and the error
-    class ``Error``.  Rules recurse through `nested`, so that a deep
-    literal raises ``Error`` instead of overflowing the stack."""
+class OrdinalParser:
+    """Tokenizer, token cursor and the grammar rules of ordinal literals.
+    The term parser extends it with its own token regex ``TOKEN`` (one
+    group per token), error class ``Error`` and rules, and reads ordinal
+    subscripts with the rule `sum`.  Rules recurse through `nested`, so
+    that a deep literal raises ``Error`` instead of overflowing the
+    stack."""
 
+    TOKEN = re.compile(r"\s*(\d+|[w^*+()])")
+    Error = OrdinalParseError
     MAX_DEPTH = 100
 
     def __init__(self, text):
@@ -236,15 +240,10 @@ class LiteralParser:
             raise self.Error(f"trailing input at {self.peek()!r}")
         return v
 
-
-class _Parser(LiteralParser):
-    TOKEN = re.compile(r"\s*(\d+|[w^*+()])")
-    Error = OrdinalParseError
-
     def nat(self):
         t = self.take()
         if not t.isdigit():
-            raise OrdinalParseError(f"expected a natural number, got {t!r}")
+            raise self.Error(f"expected a natural number, got {t!r}")
         return int(t)
 
     def sum(self):
@@ -267,7 +266,7 @@ class _Parser(LiteralParser):
                 self.take("*")
                 coeff = self.nat()
                 if coeff < 1:
-                    raise OrdinalParseError("coefficients must be positive")
+                    raise self.Error("coefficients must be positive")
             return omega_power(exp, coeff)
         return from_int(self.nat())
 
@@ -288,7 +287,7 @@ class _Parser(LiteralParser):
 
 
 def parse_ordinal(text):
-    p = _Parser(text)
+    p = OrdinalParser(text)
     return p.parse(p.sum)
 
 

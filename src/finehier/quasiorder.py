@@ -11,16 +11,21 @@ import itertools
 import json
 
 __all__ = ["Quasiorder", "antichain", "chain", "preorder_closure",
-           "check_preorder", "json_object", "json_list"]
+           "check_preorder", "json_object", "json_list", "json_pairs",
+           "json_node"]
 
 
-def json_object(doc, what):
-    """A JSON document, given as text or parsed, as a dict; a ValueError
-    naming ``what`` when it is not an object."""
+def json_object(doc, what, *required):
+    """A JSON document, given as text or parsed, as a dict holding the
+    fields ``required``; a ValueError naming ``what`` when it is not an
+    object or lacks one of them."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object")
+    for key in required:
+        if key not in doc:
+            raise ValueError(f"{what} has no {key!r} field")
     return doc
 
 
@@ -32,6 +37,23 @@ def json_list(doc, what, item=object):
                 str: " of strings"}[item]
         raise ValueError(f"{what} must be a JSON array{kind}")
     return doc
+
+
+def json_pairs(doc, what):
+    """A field of a JSON document as a list of pairs (tuples); a ValueError
+    naming ``what`` when it has another shape."""
+    for p in json_list(doc, what, list):
+        if len(p) != 2:
+            raise ValueError(f"{what} must have two members each, got {p}")
+    return [tuple(p) for p in doc]
+
+
+def json_node(key, what):
+    """A tree node from its digit-string key in a JSON document (one digit
+    per index); a ValueError naming ``what`` for any other key."""
+    if not all(ch in "0123456789" for ch in key):
+        raise ValueError(f"{what} {key!r} is not a string of digits")
+    return tuple(int(ch) for ch in key)
 
 
 def preorder_closure(size, pairs):
@@ -124,7 +146,7 @@ class Quasiorder:
 
     @classmethod
     def from_json(cls, doc):
-        doc = json_object(doc, "a quasiorder")
+        doc = json_object(doc, "a quasiorder", "size")
         size = doc["size"]
         if type(size) is not int or size < 0:
             raise ValueError(f"quasiorder size {size!r} is not a natural number")
@@ -132,8 +154,8 @@ class Quasiorder:
         if "names" in doc:
             names = json_object(doc["names"], "quasiorder names")
             names = [names.get(str(i), str(i)) for i in range(size)]
-        pairs = json_list(doc.get("le", []), "quasiorder pairs", list)
-        return cls.from_pairs(size, [tuple(p) for p in pairs], names)
+        return cls.from_pairs(
+            size, json_pairs(doc.get("le", []), "quasiorder pairs"), names)
 
     def to_json(self):
         pairs = [[i, j] for i in range(self.size)

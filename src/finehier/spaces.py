@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .quasiorder import (check_preorder, json_object, json_list,
+from .quasiorder import (check_preorder, json_object, json_list, json_pairs,
                          preorder_closure)
 
 __all__ = [
@@ -154,10 +154,9 @@ class FinSpace:
 
     @classmethod
     def from_json(cls, doc):
-        doc = json_object(doc, "a space")
-        pairs = json_list(doc["le"], "space order pairs", list)
-        return cls.from_pairs(json_list(doc["points"], "space points"),
-                              [tuple(p) for p in pairs])
+        doc = json_object(doc, "a space", "points", "le")
+        return cls.from_pairs(json_list(doc["points"], "space points", str),
+                              json_pairs(doc["le"], "space order pairs"))
 
     def to_json(self):
         pairs = [[self.names[i], self.names[j]] for i in range(self.n)

@@ -1,8 +1,7 @@
-"""Seeded exhaustive property suites over desk-scale instances.
+"""Exhaustive property suites over desk-scale instances.
 
-Each suite enumerates every instance inside its configured bounds (seeded
-sampling only where the instance space is unbounded, e.g. transitivity
-triples), evaluates one theorem-shaped invariant, and reports counts plus
+Each suite enumerates every instance inside its configured bounds, with no
+sampling, evaluates one theorem-shaped invariant, and reports counts plus
 any counterexample verbatim.  Reports are byte-identical across runs with
 equal configuration.
 """
@@ -10,7 +9,6 @@ equal configuration.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from functools import cmp_to_key
 
@@ -39,7 +37,7 @@ class UnknownSuiteError(ValueError):
 
 # the least value of each bounded field (max_children None is unbounded)
 _LEAST = {"max_nodes": 1, "max_subscript": 0, "max_points": 1, "max_q": 1,
-          "max_children": 0, "sample": 0, "families": 0}
+          "max_children": 0}
 
 
 @dataclass
@@ -50,10 +48,6 @@ class SuiteConfig:
     max_points: int = 3
     max_q: int = 3
     max_children: int | None = None
-    seed: int = 0
-    sample: int = 100_000
-    families: int = 1000
-    out: str | None = None
 
     def __post_init__(self):
         for name, least in _LEAST.items():
@@ -141,6 +135,12 @@ def _level_masks(space, qo, terms):
     return {u: level_mask(space, qo, u, base) for u in terms}
 
 
+def _in_pool(order, terms, mask):
+    """The terms of the pool ``terms`` whose bits in ``order`` are set in
+    ``mask``, in pool order."""
+    return [t for t in terms if mask >> order.index[t] & 1] if mask else []
+
+
 def _part_tag(space, values):
     return "{" + ",".join(f"{space.names[p]}:{v}"
                           for p, v in enumerate(values)) + "}"
@@ -153,21 +153,26 @@ def _suite_qo_axioms(cfg, rep):
     qo = antichain(cfg.max_q)
     terms = _terms(cfg, cfg.max_q)
     order = TermOrder(qo, terms)
+    pool = sum(1 << order.index[u] for u in terms)
+    rows = [row & pool for row in order.rows]
+    pairs = 0
     for u in terms:
+        i = order.index[u]
         rep.checked += 1
-        if not order.leq(u, u):
+        if not rows[i] >> i & 1:
             rep.fail(f"not reflexive at {term_to_str(u)}")
-    rng = random.Random(cfg.seed)
-    n = len(terms)
-    for _ in range(cfg.sample):
-        u = terms[rng.randrange(n)]
-        v = terms[rng.randrange(n)]
-        w = terms[rng.randrange(n)]
-        rep.checked += 1
-        if order.leq(u, v) and order.leq(v, w) and not order.leq(u, w):
-            rep.fail(f"not transitive at {term_to_str(u)} / "
-                     f"{term_to_str(v)} / {term_to_str(w)}")
-    rep.notes.append(f"terms={n} sampled_triples={cfg.sample}")
+        # u <= v <= w gives u <= w for every w of the pool exactly when
+        # v's row lies inside u's; the w outside it break transitivity
+        pairs += rows[i].bit_count()
+        outside = ~rows[i]
+        broken = {j: ws for j in mask_points(rows[i])
+                  if (ws := rows[j] & outside)}
+        for v in _in_pool(order, terms, sum(1 << j for j in broken)):
+            for w in _in_pool(order, terms, broken[order.index[v]]):
+                rep.fail(f"not transitive at {term_to_str(u)} / "
+                         f"{term_to_str(v)} / {term_to_str(w)}")
+    rep.checked += pairs * len(terms)
+    rep.notes.append(f"terms={len(terms)} comparable_pairs={pairs}")
 
 
 def _suite_hom_oracle(cfg, rep):
@@ -192,37 +197,42 @@ def _suite_inclusion(cfg, rep):
     spaces = _spaces(cfg)
     for k, qo, terms in _label_pools(cfg):
         order = TermOrder(qo, terms)
-        masks = [_level_masks(space, qo, terms) for space in spaces]
         pool = sum(1 << order.index[u] for u in terms)
         rep.checked += len(spaces) * sum(
             (order.rows[order.index[u]] & pool).bit_count() for u in terms)
-        if not all(_nested(order, pool, m) for m in masks):
-            # name the failing pairs in the order of a pairwise scan
-            for u in terms:
-                for v in terms:
-                    if not order.leq(u, v):
-                        continue
-                    for si, space in enumerate(spaces):
-                        if masks[si][u] & ~masks[si][v]:
-                            rep.fail(f"k={k} {_space_tag(space)} "
-                                     f"{term_to_str(u)} below "
-                                     f"{term_to_str(v)} but level sets are "
-                                     "not nested")
+        misses = [_misses(order, pool, _level_masks(space, qo, terms))
+                  for space in spaces]
+        failing = set().union(*misses)
+        # counterexamples in the order of a pairwise scan: u in pool order,
+        # then v, then space
+        for u, v in itertools.product([u for u in terms if u in failing],
+                                      terms):
+            for m, space in zip(misses, spaces):
+                if m.get(u, 0) >> order.index[v] & 1:
+                    rep.fail(f"k={k} {_space_tag(space)} {term_to_str(u)} "
+                             f"below {term_to_str(v)} but level sets are "
+                             "not nested")
         rep.notes.append(f"k={k} terms={len(terms)} spaces={len(spaces)}")
 
 
-def _nested(order, pool, masks):
-    """Do comparable terms of the pool have nested levels, that is, per
-    labeling, do the terms whose level holds it form an up-set?  ``masks``
-    maps each term of the pool (the bits ``pool`` of ``order``) to its
-    level."""
+def _misses(order, pool, masks):
+    """Per term u of the pool whose level is not nested in those above it,
+    the bits of the terms v >= u of the pool whose level misses a labeling
+    that u's level holds.  ``masks`` maps each term of the pool (the bits
+    ``pool`` of ``order``) to its level."""
     holding = {}  # labeling -> the bits of the terms whose level holds it
     for u, m in masks.items():
         b = 1 << order.index[u]
         for i in mask_points(m):
             holding[i] = holding.get(i, 0) | b
-    return not any(order.rows[j] & pool & ~s for s in holding.values()
-                   for j in mask_points(s))
+    term_at = {order.index[u]: u for u in masks}
+    out = {}
+    for s in holding.values():
+        outside = pool & ~s
+        for j in mask_points(s):
+            if bad := order.rows[j] & outside:
+                out[term_at[j]] = out.get(term_at[j], 0) | bad
+    return out
 
 
 def _suite_shift_law(cfg, rep):
@@ -319,18 +329,14 @@ def _suite_reduct(cfg, rep):
             "Fq[0](1,2)", "Fq[2](0,1)", "Fq[1](0,0)", "Fo[0](1,0)",
             "Fq[0](Fq[1](0),2)", "Fq[2](Fq[0](1),0)", "Fo[1](0,1,2)",
             "Fq[0](1,0,2)", "s[0](Fq[1](2,0))"]
-    determining = 0
     for space in spaces:
         base = borel(space)
         for text in pool:
             u = parse_term(text)
             for F in enumerate_families(u, base):
-                if determining >= cfg.families:
-                    break
                 res = family_eval(F, u, base, qo)
                 if isinstance(res, NotDetermined):
                     continue
-                determining += 1
                 rep.checked += 1
                 G = family_reduct(F, u, base)
                 res2 = family_eval(G, u, base, qo)
@@ -341,19 +347,14 @@ def _suite_reduct(cfg, rep):
                     rep.fail(f"{_space_tag(space)} {text}: reduct determines "
                              f"{_part_tag(space, res2.values)} instead of "
                              f"{_part_tag(space, res.values)}")
-            if determining >= cfg.families:
-                break
-    rep.notes.append(f"determining_families={determining}")
-    if determining < cfg.families:
-        rep.notes.append("pool exhausted before the family budget")
+    rep.notes.append(f"determining_families={rep.checked}")
 
 
 def _suite_hk(cfg, rep):
     spaces = _spaces(cfg)
     for k in range(2, cfg.max_q + 1):
         qo = antichain(k)
-        terms = enumerate_terms(k, cfg.max_nodes, (),
-                                constructors=("Const", "Fq"))
+        terms = enumerate_terms(k, cfg.max_nodes, ())
         for space in spaces:
             base = borel(space)
             parts = _partitions(space, qo)
@@ -454,10 +455,7 @@ def run_suite(cfg):
                                 f"choose from {', '.join(SUITE_NAMES)}")
     hierarchy.clear_caches()
     params = {k: v for k, v in vars(cfg).items()
-              if k not in ("suite", "out") and v is not None}
+              if k != "suite" and v is not None}
     rep = SuiteReport(cfg.suite, params)
     fn(cfg, rep)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(rep.text())
     return rep

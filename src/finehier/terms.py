@@ -33,8 +33,8 @@ import re
 from dataclasses import dataclass
 
 from .labeled_trees import LabeledTree
-from .ordinals import (Ordinal, ZERO, LiteralParser, ord_add, ord_cmp,
-                       omega_power, parse_ordinal, ord_to_str)
+from .ordinals import (Ordinal, ZERO, OrdinalParser, ord_add, ord_cmp,
+                       omega_power, ord_to_str)
 from .spaces import mask_points
 
 __all__ = [
@@ -516,26 +516,15 @@ def term_apply_aut(qo, g, u):
 # --- concrete syntax ----------------------------------------------------------
 
 
-class _TermParser(LiteralParser):
+class _TermParser(OrdinalParser):
     TOKEN = re.compile(r"\s*(\d+|Fq|Fo|s|w|[\[\](),^*+])")
     Error = TermParseError
 
     def subscript(self):
         self.take("[")
-        depth, parts = 0, []
-        while True:
-            t = self.peek()
-            if t is None:
-                raise TermParseError("unterminated subscript")
-            if t == "]" and depth == 0:
-                break
-            if t == "(":
-                depth += 1
-            elif t == ")":
-                depth -= 1
-            parts.append(self.take())
+        alpha = self.sum()
         self.take("]")
-        return parse_ordinal("".join(parts))
+        return alpha
 
     def term(self):
         t = self.peek()
@@ -602,12 +591,11 @@ def syntax_tree(u):
 # --- enumeration --------------------------------------------------------------
 
 
-def enumerate_terms(num_labels, max_nodes, subscripts=(), max_children=None,
-                    constructors=("Const", "Shift", "Fq", "Fo")):
+def enumerate_terms(num_labels, max_nodes, subscripts=(), max_children=None):
     """All terms with at most ``max_nodes`` syntactic nodes, deterministically
-    ordered by size.  ``subscripts`` is the pool of ordinal subscripts;
-    ``max_children`` bounds branch arity (None: bounded by the node budget
-    only)."""
+    ordered by size.  ``subscripts`` is the pool of ordinal subscripts (with
+    none, only constants and ``Fq`` branches are built); ``max_children``
+    bounds branch arity (None: bounded by the node budget only)."""
     subscripts = tuple(subscripts)
     by_size = {1: [Const(q) for q in range(num_labels)]}
 
@@ -625,20 +613,12 @@ def enumerate_terms(num_labels, max_nodes, subscripts=(), max_children=None,
                         yield (head,) + tail
 
     for n in range(2, max_nodes + 1):
-        out = []
-        if "Shift" in constructors:
-            for a in subscripts:
-                for t in by_size[n - 1]:
-                    out.append(Shift(a, t))
-        if "Fq" in constructors:
-            for q in range(num_labels):
-                for cs in seqs(n - 1, max_children):
-                    out.append(Fq(q, cs))
-        if "Fo" in constructors:
-            for a in subscripts:
-                for cs in seqs(n - 1, max_children):
-                    out.append(Fo(a, cs))
-        by_size[n] = out
+        by_size[n] = (
+            [Shift(a, t) for a in subscripts for t in by_size[n - 1]]
+            + [Fq(q, cs) for q in range(num_labels)
+               for cs in seqs(n - 1, max_children)]
+            + [Fo(a, cs) for a in subscripts
+               for cs in seqs(n - 1, max_children)])
 
     result = []
     for n in range(1, max_nodes + 1):

@@ -44,10 +44,10 @@ def test_c01_oracle_equivalence():
 
 
 def test_c02_quasiorder_axioms():
-    # reflexivity on every enumerated term; transitivity on 10^5 seeded triples
+    # reflexivity on every enumerated term; transitivity on every triple
     rep = _run(2, "term comparison is reflexive and transitive",
                suite="qo-axioms", max_q=2, max_nodes=4, max_subscript=1,
-               max_children=2, sample=100_000, seed=0)
+               max_children=2)
     assert rep.checked >= 100_000
 
 
@@ -93,7 +93,7 @@ def test_c06_member_cross_oracle():
         jobs += [(space, antichain(k), enumerate_terms(k, 3, SUBS))
                  for space in spaces4]
         jobs += [(space, antichain(k),
-                  enumerate_terms(k, 4, (), constructors=("Const", "Fq")))
+                  enumerate_terms(k, 4, ()))
                  for space in spaces2]
         jobs.append((prod_space, antichain(k), enumerate_terms(k, 2, SUBS)))
     for space, qo, terms in jobs:
@@ -110,7 +110,7 @@ def test_c06_member_cross_oracle():
 
 def test_c07_reduct_correctness():
     rep = _run(7, "reducts of determining families determine the same partition",
-               suite="reduct", families=1000)
+               suite="reduct")
     assert rep.checked >= 1000
 
 

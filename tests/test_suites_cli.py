@@ -1,7 +1,9 @@
+import ast
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -14,8 +16,7 @@ from finehier.suites import SuiteConfig, SuiteReport, run_suite, \
     UnknownSuiteError, SUITE_NAMES
 from finehier.terms import TermOrder, parse_term, term_to_str, term_tree
 
-TINY = dict(max_nodes=2, max_subscript=1, max_points=2, max_q=2,
-            sample=500, families=50)
+TINY = dict(max_nodes=2, max_subscript=1, max_points=2, max_q=2)
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -28,18 +29,18 @@ def test_every_suite_passes_at_tiny_bounds(suite):
     assert rep.passed, rep.counterexamples[:3]
     assert rep.checked > 0
     # tests/golden holds the reports revision 5c4106a wrote at these
-    # bounds; refactors must keep them byte for byte
+    # bounds, less the sampling and family-budget parameters, with the
+    # qo-axioms and reduct counts of their exhaustive checks; refactors
+    # must keep them byte for byte
     golden = (GOLDEN / f"{suite}.txt").read_text(encoding="utf-8")
     assert rep.text() == golden
 
 
 def test_reports_deterministic():
-    cfg = dict(suite="qo-axioms", max_nodes=3, sample=2000, seed=7)
+    cfg = dict(suite="qo-axioms", max_nodes=3)
     a = run_suite(SuiteConfig(**cfg)).text()
     b = run_suite(SuiteConfig(**cfg)).text()
     assert a == b
-    c = run_suite(SuiteConfig(**dict(cfg, seed=8))).text()
-    assert c.endswith("result: PASS\n")
 
 
 def test_unknown_suite():
@@ -92,6 +93,39 @@ def test_inclusion_reports_a_planted_violation_like_a_pairwise_scan(
     assert expect and rep.violations == len(expect)
     assert rep.counterexamples == expect
     assert rep.checked == pairs * len(spaces)
+
+
+def test_qo_axioms_reports_every_broken_triple(monkeypatch):
+    # drop one bit, 0 <= Fq[1](0), from one row of the term order; every
+    # triple u <= v <= w with u not below w must then be reported
+    cfg = SuiteConfig(suite="qo-axioms", **TINY)
+    low, high = parse_term("0"), parse_term("Fq[1](0)")
+    real = suites.TermOrder
+
+    def dropped(qo, terms):
+        order = real(qo, terms)
+        assert order.leq(low, high)
+        order.rows[order.index[low]] &= ~(1 << order.index[high])
+        return order
+
+    monkeypatch.setattr(suites, "TermOrder", dropped)
+    rep = run_suite(cfg)
+    terms = suites._terms(cfg, 2)
+    leq = dropped(antichain(2), terms).leq
+    expect = [f"not transitive at {term_to_str(u)} / {term_to_str(v)} / "
+              f"{term_to_str(w)}" for u in terms for v in terms for w in terms
+              if leq(u, v) and leq(v, w) and not leq(u, w)]
+    assert expect and rep.counterexamples == expect
+
+
+def test_every_bound_is_read_by_a_suite():
+    # a configuration field that no suite reads is a dead knob
+    tree = ast.parse(Path(suites.__file__).read_text(encoding="utf-8"))
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "cfg"}
+    bounds = {f.name for f in fields(SuiteConfig)} - {"suite"}
+    assert bounds <= read, bounds - read
 
 
 # --- command line ----------------------------------------------------------------
@@ -341,6 +375,29 @@ def test_cli_rejects_malformed_documents(tmp_path, sierp, argv, message):
     (("levelset", "--term", "Fq[0](1)", "--base",
       '{"steps": [{"threshold": 0, "sets": [[]]}]}'),
      "a literal must be a string"),
+    (("space", "check", "--space",
+      '{"points": ["a", "b"], "le": [["a", "b", "c"]]}'),
+     "space order pairs must have two members each, got ['a', 'b', 'c']"),
+    (("term", "cmp", "0", "1", "--q", '{"size": 2, "le": [[0, 1, 1]]}'),
+     "quasiorder pairs must have two members each, got [0, 1, 1]"),
+    (("homcmp", '{"nodes": ["", "0a"], "labels": {"": 0, "0a": 0}}',
+      '{"nodes": [""], "labels": {"": 0}}'),
+     "tree node '0a' is not a string of digits"),
+    (("family", "eval", '{"term": "Fq[0](1)", "carrier": ["a", "b"], '
+      '"sets": {"": ["a", "b"], "x": ["b"]}}'),
+     "family set key 'x' is not a string of digits"),
+    (("space", "check", "--space", '{"points": [1, [2]], "le": []}'),
+     "space points must be a JSON array of strings"),
+    (("space", "check", "--space", '{"points": ["a", "b"]}'),
+     "a space has no 'le' field"),
+    (("term", "cmp", "0", "1", "--q", '{"le": []}'),
+     "a quasiorder has no 'size' field"),
+    (("family", "eval", '{"term": "Fq[0](1)", '
+      '"sets": {"": ["a", "b"], "0": ["b"]}}'),
+     "a family has no 'carrier' field"),
+    (("levelset", "--term", "Fq[0](1)", "--base",
+      '{"steps": [{"sets": [["a"]]}]}'),
+     "a base step has no 'threshold' field"),
 ])
 def test_cli_rejects_fields_of_the_wrong_type(tmp_path, sierp, argv, message):
     argv = [_write(tmp_path, f"d{i}.json", json.loads(a)) if a[0] in "[{"
@@ -350,7 +407,7 @@ def test_cli_rejects_fields_of_the_wrong_type(tmp_path, sierp, argv, message):
     assert _assert_usage_error(*argv).startswith(f"error: {message}")
 
 
-@pytest.mark.parametrize("flag", ["--max-children", "--sample", "--families"])
+@pytest.mark.parametrize("flag", ["--max-children"])
 def test_cli_rejects_negative_bounds(flag):
     name = flag[2:].replace("-", "_")
     assert (_assert_usage_error("check", "reduct", flag, "-1")

@@ -218,7 +218,7 @@ def test_enumeration_counts():
     # 2 constants; 2 subscripts each for the unary and ordinal-branch forms
     assert len(enumerate_terms(2, 1, SUBS)) == 2
     assert len(enumerate_terms(2, 2, SUBS)) == 2 + 12
-    assert len(enumerate_terms(2, 2, SUBS, constructors=("Const", "Fq"))) == 2 + 4
+    assert len(enumerate_terms(2, 2, ())) == 2 + 4
     two = enumerate_terms(2, 2, SUBS)
     assert len(set(two)) == len(two)
 
