@@ -86,9 +86,10 @@ def _all_submasks(mask):
 
 
 class Base:
-    """Interned threshold-graded family of set lattices over a carrier."""
+    """Interned threshold-graded family of set lattices over a carrier;
+    equal bases are one object, so they compare and hash by identity."""
 
-    __slots__ = ("space", "carrier", "steps", "_hash")
+    __slots__ = ("space", "carrier", "steps")
     _table = {}
 
     def __new__(cls, space, carrier, steps):
@@ -124,7 +125,6 @@ class Base:
         self.space = space
         self.carrier = carrier
         self.steps = steps
-        self._hash = hash(key)
         cls._table[key] = self
         return self
 
@@ -153,21 +153,12 @@ class Base:
         return Base(self.space, self.carrier, steps)
 
     def restrict(self, mask):
-        """Trace every level on a sub-carrier (memoized)."""
+        """Trace every level on a sub-carrier."""
         mask &= self.carrier
         if mask == self.carrier:
             return self
-        if (self, mask) not in _RESTRICTS:
-            steps = [(t, tuple(sorted({a & mask for a in lvl})))
-                     for t, lvl in self.steps]
-            _RESTRICTS[self, mask] = Base(self.space, mask, steps)
-        return _RESTRICTS[self, mask]
-
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return self._hash
+        return Base(self.space, mask,
+                    [(t, {a & mask for a in lvl}) for t, lvl in self.steps])
 
     def __repr__(self):
         pts = self.space.set_of_names(self.carrier)
@@ -395,6 +386,10 @@ def validate_family(F, u, base):
         raise InvalidFamilyError("family carrier differs from the base carrier")
     if set(F.sets) != set(tree.nodes):
         raise InvalidFamilyError("sets must be indexed by the flattened tree")
+    for node in F.children:
+        if node not in F.sets:
+            raise InvalidFamilyError(f"family children key {node_key(node)!r} "
+                                     "is not a node of the flattened tree")
     lvl = set(b2.level0)
     for node in tree.nodes:
         m = F.sets[node]
@@ -544,15 +539,14 @@ def family_pushforward(f, F, u, base_source):
 
 # --- level sets ---------------------------------------------------------------
 
-_LEVELS = {}       # (base, term, label count) -> labeling mask
-_RESTRICTS = {}    # (base, mask) -> the base restricted to the mask
+_LEVELS = {}       # (base, carrier, term, label count) -> labeling mask
 _LABEL_MASKS = {}  # (points, label count) -> per point, per label masks
 
 
 def clear_caches():
-    """Empty every memo (levels, restricted bases, label masks and term
-    trees); intern tables stay, so values keep their identity."""
-    for memo in (_LEVELS, _RESTRICTS, _LABEL_MASKS, terms._TREES):
+    """Empty every memo (levels, label masks and term trees); intern tables
+    stay, so values keep their identity."""
+    for memo in (_LEVELS, _LABEL_MASKS, terms._TREES):
         memo.clear()
 
 
@@ -564,9 +558,11 @@ def _index(values, k):
     return i
 
 
-def _level(base, u, k):
-    """The level of ``u`` over ``base`` over k labels (see `level_mask`)."""
-    key = (base, u, k)
+def _level(base, carrier, u, k):
+    """The level of ``u`` over k labels (see `level_mask`) over ``base``
+    traced on the mask ``carrier``; tracing commutes with shifts, so the DP
+    reads every restricted level off ``base`` and its shifts."""
+    key = (base, carrier, u, k)
     if key in _LEVELS:
         return _LEVELS[key]
     n = base.space.n
@@ -578,7 +574,7 @@ def _level(base, u, k):
                 [sum(1 << i for i, row in enumerate(rows) if row[p] == q)
                  for q in range(k)] for p in range(n)]
         q = singleton_value(u)
-        for p in mask_points(base.carrier):
+        for p in mask_points(carrier):
             r &= _LABEL_MASKS[n, k][p][q]
     else:
         dec = term_decompose(u)
@@ -588,17 +584,18 @@ def _level(base, u, k):
         # union of the children's sets so far -> labelings whose restriction
         # to every chosen set lies in that child's level there
         reach = {0: r}
+        level0 = {m & carrier for m in b2.level0}
         for kid in kids:
             new = {}
-            for m in b2.level0:
-                lv = _level(b2.restrict(m), kid, k)
+            for m in level0:
+                lv = _level(b2, m, kid, k)
                 for un, s in reach.items():
                     if s & lv:
                         new[un | m] = new.get(un | m, 0) | s & lv
             reach = new
         r = 0
         for un, s in reach.items():
-            r |= s & _level(b2.restrict(base.carrier & ~un), head, k)
+            r |= s & _level(b2, carrier & ~un, head, k)
     _LEVELS[key] = r
     return r
 
@@ -613,7 +610,7 @@ def level_mask(space, qo, u, base=None):
     if space != base.space:
         raise DifferentSpacesError("the base lives on a different space")
     check_constants(u, qo)
-    return _level(base, u, qo.size)
+    return _level(base, base.carrier, u, qo.size)
 
 
 def member(A, u, base):

@@ -153,7 +153,12 @@ class Quasiorder:
         names = None
         if "names" in doc:
             names = json_object(doc["names"], "quasiorder names")
-            names = [names.get(str(i), str(i)) for i in range(size)]
+            keys = [str(i) for i in range(size)]
+            for key, name in names.items():
+                if key not in keys or type(name) is not str:
+                    raise ValueError(f"quasiorder names must map 0..{size-1}"
+                                     f" to strings, got {key!r}: {name!r}")
+            names = [names.get(key, key) for key in keys]
         return cls.from_pairs(
             size, json_pairs(doc.get("le", []), "quasiorder pairs"), names)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cmp_to_key
+from functools import cmp_to_key, reduce
 
 from ._memo import PairMemo
 from . import hierarchy
@@ -21,9 +21,9 @@ from .ordinals import (Ordinal, ZERO, from_int, omega_power, ord_cmp,
                        ord_to_str, f_map, wadge_cmp, wadge_from_int,
                        wadge_to_str, OMEGA)
 from .quasiorder import antichain
-from .spaces import (FinSpace, QPartition, enum_cos, enumerate_posets,
-                     discrete, sierpinski, product, is_meager,
-                     is_meager_bruteforce, mask_points, wadge_leq)
+from .spaces import (FinSpace, enum_cos, enumerate_posets, discrete,
+                     sierpinski, product, is_meager, is_meager_bruteforce,
+                     mask_points, monotone_selfmaps)
 from .terms import (Shift, TermOrder, enumerate_terms, term_tree,
                     term_to_str, parse_term)
 
@@ -257,24 +257,31 @@ def _suite_wadge_closure(cfg, rep):
     for k, qo, terms in _label_pools(cfg):
         for space in spaces:
             parts = _partitions(space, qo)
-            qparts = [QPartition(space, qo, vals) for vals in parts]
-            below = [0] * len(parts)
-            for i, a in enumerate(qparts):
-                for j, b in enumerate(qparts):
-                    if wadge_leq(b, a):
-                        below[i] |= 1 << j
+            below = _wadge_rows(space, qo)
             masks = _level_masks(space, qo, terms)
             for u in terms:
                 ls = masks[u]
                 rep.checked += 1
-                for i in range(len(parts)):
-                    if ls >> i & 1 and below[i] & ~ls:
-                        bad = below[i] & ~ls
+                for i in mask_points(ls):
+                    if bad := below[i] & ~ls:
                         j = bad.bit_length() - 1
                         rep.fail(f"k={k} {_space_tag(space)} {term_to_str(u)}: "
                                  f"{_part_tag(space, parts[j])} reduces to "
                                  f"{_part_tag(space, parts[i])} but is outside")
                         break
+
+
+def _wadge_rows(space, qo):
+    """Per labeling B (`_partitions` order), the mask of the labelings A
+    with A(x) <= B(g(x)) at every point x for some monotone self-map g: an
+    OR over g of ANDs over x of the labelings whose label at x is below."""
+    parts = _partitions(space, qo)
+    down = [[sum(1 << i for i, a in enumerate(parts) if qo.leq(a[x], q))
+             for q in range(qo.size)] for x in range(space.n)]
+    return [reduce(int.__or__,
+                   (reduce(int.__and__, (d[b[y]] for d, y in zip(down, g)))
+                    for g in monotone_selfmaps(space)))
+            for b in parts]
 
 
 def _unpreserved(f, qo, xmasks, ymasks, terms):

@@ -170,3 +170,20 @@ def test_c10_non_collapse():
 def test_c11_meager_oracle():
     _run(11, "singleton criterion matches the decomposition search",
          suite="meager-oracle", max_points=4)
+
+
+def test_c12_wadge_closure():
+    # every labeling continuously reducible to a member of a level is a
+    # member: all posets <= 4 points, antichains of 2 and 3, terms <= 4 nodes
+    rep = _run(12, "levels are closed under continuous reducibility",
+               suite="wadge-closure", max_q=3, max_nodes=4, max_subscript=1,
+               max_points=4)
+    assert rep.checked == 76_296
+
+
+def test_c13_shift_law():
+    # s[alpha](u) over the stock base has the level of u over the base
+    # shifted by w^alpha: all posets <= 4 points, terms <= 3 nodes
+    rep = _run(13, "a shift-wrapped term has the shifted base's level",
+               suite="shift-law", max_points=4)
+    assert rep.checked == 4_896

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from finehier.ordinals import ZERO, ONE, from_int, parse_ordinal, omega_power
+from finehier.ordinals import (ZERO, ONE, OMEGA, from_int, parse_ordinal,
+                               omega_power)
 from finehier.quasiorder import antichain
 from finehier.spaces import (FinSpace, ContMap, QPartition, sierpinski,
                              discrete, product, cat_quantifier)
@@ -16,7 +17,7 @@ from finehier.hierarchy import (Base, borel, TFamily, components,
                                 enumerate_families, level_set,
                                 level_set_enum, family_from_json,
                                 family_to_json, InvalidFamilyError,
-                                NoReductError, clear_caches)
+                                NoReductError, clear_caches, level_mask)
 from finehier import hierarchy, terms
 
 S = sierpinski()
@@ -297,12 +298,32 @@ def test_clear_caches_empties_every_memo():
     u = T("Fq[0](s[1](Fq[1](0)))")
     member(QPartition(S, Q2, (0, 1)), u, borel(S))
     terms.term_tree(u)
-    memos = (hierarchy._LEVELS, hierarchy._RESTRICTS, hierarchy._LABEL_MASKS,
-             terms._TREES)
+    memos = (hierarchy._LEVELS, hierarchy._LABEL_MASKS, terms._TREES)
     assert all(memos)
     clear_caches()
     assert not any(memos)
     assert Const(0) is Const(0)  # intern tables stay
+
+
+def test_level_dp_interns_no_restricted_base():
+    # the DP reads restricted levels as traces on a carrier mask, so every
+    # base it meets is the given one or a shift of it; the second base puts
+    # its last threshold at w, which no other test does, so a restricted
+    # copy of it would be new to the intern table whatever ran before
+    chain4 = FinSpace.from_pairs("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+    before = set(Base._table)
+    clear_caches()
+    for base in (borel(chain4),
+                 Base(chain4, chain4.full, ((ZERO, chain4.opens()),
+                                            (OMEGA, tuple(range(16)))))):
+        for text in ("Fq[0](s[1](Fq[1](0)),Fo[0](1,0))",
+                     "s[0](Fq[1](Fq[0](1),0))", "Fo[1](Fq[0](1,0),1)"):
+            level_mask(chain4, Q2, T(text), base)
+    new = [Base._table[key] for key in set(Base._table) - before]
+    assert all(b.carrier == chain4.full for b in new)
+    # interned, so identity is equality and the hash is the default one
+    assert Base.__hash__ is object.__hash__
+    assert Base.__eq__ is object.__eq__
 
 
 def _identity(space):

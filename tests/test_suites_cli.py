@@ -11,7 +11,8 @@ import pytest
 from finehier import suites
 from finehier.cli import build_parser, main
 from finehier.labeled_trees import hom_leq
-from finehier.quasiorder import antichain
+from finehier.quasiorder import Quasiorder, antichain, chain
+from finehier.spaces import QPartition, enumerate_posets, wadge_leq
 from finehier.suites import SuiteConfig, SuiteReport, run_suite, \
     UnknownSuiteError, SUITE_NAMES
 from finehier.terms import TermOrder, parse_term, term_to_str, term_tree
@@ -340,6 +341,10 @@ def test_cli_rejects_constants_outside_the_quasiorder(tmp_path, sierp, argv):
      "family children must be"),
     (("family", "eval", "[1, 2]"), "a family must be"),
     (("space", "check", "--space", "[1, 2]"), "a space must be"),
+    (("family", "eval", '{"term": "Fq[0](1)", "carrier": ["a", "b"], '
+      '"sets": {"": ["a", "b"], "0": ["b"]}, '
+      '"children": {"5": {"term": "0"}}}'),
+     "family children key '5' is not a node of the flattened tree"),
 ])
 def test_cli_rejects_malformed_documents(tmp_path, sierp, argv, message):
     # every JSON argument goes to a file; --space defaults to the
@@ -398,6 +403,10 @@ def test_cli_rejects_malformed_documents(tmp_path, sierp, argv, message):
     (("levelset", "--term", "Fq[0](1)", "--base",
       '{"steps": [{"sets": [["a"]]}]}'),
      "a base step has no 'threshold' field"),
+    (("term", "cmp", "0", "1", "--q", '{"size": 2, "names": {"0": 5}}'),
+     "quasiorder names must map 0..1 to strings, got '0': 5"),
+    (("term", "cmp", "0", "1", "--q", '{"size": 2, "names": {"7": "x"}}'),
+     "quasiorder names must map 0..1 to strings, got '7': 'x'"),
 ])
 def test_cli_rejects_fields_of_the_wrong_type(tmp_path, sierp, argv, message):
     argv = [_write(tmp_path, f"d{i}.json", json.loads(a)) if a[0] in "[{"
@@ -493,3 +502,17 @@ def test_wadge_closure_medium_bounds():
                                 max_points=3, max_q=3))
     assert rep.passed, rep.counterexamples[:3]
     assert rep.checked > 1000
+
+
+@pytest.mark.parametrize("qo", [
+    antichain(2), antichain(3), chain(2), chain(3),
+    Quasiorder.from_pairs(3, [(0, 1), (0, 2)]),
+], ids=["antichain2", "antichain3", "chain2", "chain3", "V"])
+def test_wadge_rows_match_the_pairwise_oracle(qo):
+    # the row of B holds exactly the labelings A with A <=_W B
+    for space in [s for n in (1, 2, 3) for s in enumerate_posets(n)]:
+        parts = [QPartition(space, qo, values)
+                 for values in suites._partitions(space, qo)]
+        for b, row in zip(parts, suites._wadge_rows(space, qo)):
+            assert row == sum(1 << i for i, a in enumerate(parts)
+                              if wadge_leq(a, b))
