@@ -89,7 +89,7 @@ class Base:
     """Interned threshold-graded family of set lattices over a carrier;
     equal bases are one object, so they compare and hash by identity."""
 
-    __slots__ = ("space", "carrier", "steps")
+    __slots__ = ("space", "carrier", "steps", "_shifts")
     _table = {}
 
     def __new__(cls, space, carrier, steps):
@@ -125,6 +125,7 @@ class Base:
         self.space = space
         self.carrier = carrier
         self.steps = steps
+        self._shifts = {ZERO: self}
         cls._table[key] = self
         return self
 
@@ -143,14 +144,16 @@ class Base:
         return self.steps[0][1]
 
     def shift(self, beta):
-        """Re-index so the new level(a) is the old level(beta + a)."""
-        if beta.is_zero:
-            return self
-        steps = [(ZERO, self.level(beta))]
-        for t, lvl in self.steps:
-            if ord_cmp(t, beta) > 0:
-                steps.append((left_subtract(beta, t), lvl))
-        return Base(self.space, self.carrier, steps)
+        """Re-index so the new level(a) is the old level(beta + a).  Each
+        shift is built once, then kept in the base's `_shifts`."""
+        hit = self._shifts.get(beta)
+        if hit is None:
+            steps = [(ZERO, self.level(beta))]
+            for t, lvl in self.steps:
+                if ord_cmp(t, beta) > 0:
+                    steps.append((left_subtract(beta, t), lvl))
+            hit = self._shifts[beta] = Base(self.space, self.carrier, steps)
+        return hit
 
     def restrict(self, mask):
         """Trace every level on a sub-carrier."""
@@ -328,23 +331,20 @@ WHOLE = _Whole()
 class UFamily:
     """A nested family: a monotone T-family over the flattened tree of the
     term's core, plus one nested family per shift-labeled node, living on
-    that node's component."""
+    that node's component.  Families compare by their fields and are not
+    hashable."""
 
-    __slots__ = ("carrier", "sets", "children", "_key")
+    __slots__ = ("carrier", "sets", "children")
 
     def __init__(self, carrier, sets, children=()):
         self.carrier = carrier
         self.sets = dict(sets)
         self.children = dict(children)
-        self._key = (carrier,
-                     tuple(sorted(self.sets.items())),
-                     tuple(sorted(self.children.items())))
 
     def __eq__(self, other):
-        return isinstance(other, UFamily) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
+        return (isinstance(other, UFamily) and self.carrier == other.carrier
+                and self.sets == other.sets
+                and self.children == other.children)
 
     def __repr__(self):
         return f"UFamily(carrier={self.carrier:b}, {len(self.sets)} nodes)"

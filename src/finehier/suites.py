@@ -200,7 +200,7 @@ def _suite_inclusion(cfg, rep):
         pool = sum(1 << order.index[u] for u in terms)
         rep.checked += len(spaces) * sum(
             (order.rows[order.index[u]] & pool).bit_count() for u in terms)
-        misses = [_misses(order, pool, _level_masks(space, qo, terms))
+        misses = [_misses(order, _level_masks(space, qo, terms))
                   for space in spaces]
         failing = set().union(*misses)
         # counterexamples in the order of a pairwise scan: u in pool order,
@@ -215,24 +215,18 @@ def _suite_inclusion(cfg, rep):
         rep.notes.append(f"k={k} terms={len(terms)} spaces={len(spaces)}")
 
 
-def _misses(order, pool, masks):
-    """Per term u of the pool whose level is not nested in those above it,
-    the bits of the terms v >= u of the pool whose level misses a labeling
-    that u's level holds.  ``masks`` maps each term of the pool (the bits
-    ``pool`` of ``order``) to its level."""
-    holding = {}  # labeling -> the bits of the terms whose level holds it
+def _misses(order, masks):
+    """Per term u whose level is not nested in those above it, the bits of
+    the terms v >= u whose level misses a labeling that u's level holds.
+    ``masks`` maps each term of the pool to its level; the levels are
+    compared as values, once per pair of distinct levels."""
+    holders = {}  # level -> the bits of the terms that have it (disjoint)
     for u, m in masks.items():
-        b = 1 << order.index[u]
-        for i in mask_points(m):
-            holding[i] = holding.get(i, 0) | b
-    term_at = {order.index[u]: u for u in masks}
-    out = {}
-    for s in holding.values():
-        outside = pool & ~s
-        for j in mask_points(s):
-            if bad := order.rows[j] & outside:
-                out[term_at[j]] = out.get(term_at[j], 0) | bad
-    return out
+        holders[m] = holders.get(m, 0) | 1 << order.index[u]
+    missing = {a: sum(s for b, s in holders.items() if a & ~b)
+               for a in holders}
+    return {u: bad for u, m in masks.items()
+            if (bad := order.rows[order.index[u]] & missing[m])}
 
 
 def _suite_shift_law(cfg, rep):
@@ -259,16 +253,19 @@ def _suite_wadge_closure(cfg, rep):
             parts = _partitions(space, qo)
             below = _wadge_rows(space, qo)
             masks = _level_masks(space, qo, terms)
+            # per distinct level, its first labeling i (ascending) with a
+            # reduct outside the level, and the highest such reduct j
+            escape = {ls: next(((i, bad.bit_length() - 1)
+                                for i in mask_points(ls)
+                                if (bad := below[i] & ~ls)), None)
+                      for ls in set(masks.values())}
+            rep.checked += len(terms)
             for u in terms:
-                ls = masks[u]
-                rep.checked += 1
-                for i in mask_points(ls):
-                    if bad := below[i] & ~ls:
-                        j = bad.bit_length() - 1
-                        rep.fail(f"k={k} {_space_tag(space)} {term_to_str(u)}: "
-                                 f"{_part_tag(space, parts[j])} reduces to "
-                                 f"{_part_tag(space, parts[i])} but is outside")
-                        break
+                if e := escape[masks[u]]:
+                    i, j = e
+                    rep.fail(f"k={k} {_space_tag(space)} {term_to_str(u)}: "
+                             f"{_part_tag(space, parts[j])} reduces to "
+                             f"{_part_tag(space, parts[i])} but is outside")
 
 
 def _wadge_rows(space, qo):
@@ -287,13 +284,16 @@ def _wadge_rows(space, qo):
 def _unpreserved(f, qo, xmasks, ymasks, terms):
     """The pairs (term u, labeling A of the target of ``f``) where A's bit
     in u's level on the target differs from the bit of A o f in u's level
-    on the source, term by term; ``xmasks`` and ``ymasks`` map each term to
-    its level on the source and on the target."""
+    on the source, in term and then labeling order; ``xmasks`` and
+    ``ymasks`` map each term to its level on the source and on the target.
+    Each distinct source level is pulled back along ``f`` once."""
     parts = _partitions(f.dst, qo)
     pulled = [hierarchy._index([vals[y] for y in f.values], qo.size)
               for vals in parts]
-    return [(u, vals) for u in terms for i, vals in enumerate(parts)
-            if (ymasks[u] >> i & 1) != (xmasks[u] >> pulled[i] & 1)]
+    back = {m: sum(1 << i for i, p in enumerate(pulled) if m >> p & 1)
+            for m in set(xmasks.values())}
+    return [(u, parts[i]) for u in terms
+            for i in mask_points(ymasks[u] ^ back[xmasks[u]])]
 
 
 def _suite_preservation(cfg, rep):

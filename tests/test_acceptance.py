@@ -54,17 +54,19 @@ def test_c02_quasiorder_axioms():
 def test_c03_inclusion_theorem():
     # comparable terms have nested level sets: all posets <= 4 points,
     # antichains of 2 and 3, terms <= 4 nodes
-    _run(3, "comparable terms give nested level sets",
-         suite="inclusion", max_q=3, max_nodes=4, max_subscript=1,
-         max_points=4)
+    rep = _run(3, "comparable terms give nested level sets",
+               suite="inclusion", max_q=3, max_nodes=4, max_subscript=1,
+               max_points=4)
+    assert rep.checked == 42_586_392
 
 
 def test_c04_preservation():
     # membership transfers both ways along every continuous open surjection
     # within bounds, plus the 4-point product projection
-    _run(4, "continuous open surjections preserve level membership",
-         suite="preservation", max_q=3, max_nodes=4, max_subscript=1,
-         max_points=4)
+    rep = _run(4, "continuous open surjections preserve level membership",
+               suite="preservation", max_q=3, max_nodes=4, max_subscript=1,
+               max_points=4)
+    assert rep.checked == 2_423_423
 
 
 def test_c05_hk_exhaustion():

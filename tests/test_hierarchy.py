@@ -326,6 +326,31 @@ def test_level_dp_interns_no_restricted_base():
     assert Base.__eq__ is object.__eq__
 
 
+def test_base_builds_each_shift_once(monkeypatch):
+    # the threshold w lies past the shift 1, so building the shift calls
+    # left_subtract; asking again must return the kept shift unbuilt
+    base = Base(S, S.full, ((ZERO, S.opens()), (OMEGA, tuple(range(4)))))
+    shifted = base.shift(ONE)
+    assert shifted.steps == ((ZERO, S.opens()), (OMEGA, (0, 1, 2, 3)))
+
+    def rebuilt(*args):
+        raise AssertionError("the shift was built again")
+
+    monkeypatch.setattr(hierarchy, "left_subtract", rebuilt)
+    assert base.shift(ONE) is shifted
+    assert base.shift(ZERO) is base
+
+
+def test_families_compare_by_fields_whatever_the_insertion_order():
+    inner = UFamily(2, {(): 2, (0,): 2})
+    sets = [((), S.full), ((0,), 2), ((1,), 2)]
+    a = UFamily(S.full, dict(sets), {(0,): inner, (1,): inner})
+    b = UFamily(S.full, dict(reversed(sets)), {(1,): inner, (0,): inner})
+    assert list(a.sets) != list(b.sets) and a == b
+    assert a != UFamily(S.full, dict(sets), {(0,): inner})
+    assert UFamily.__hash__ is None
+
+
 def _identity(space):
     return ContMap(space, space, tuple(range(space.n)))
 

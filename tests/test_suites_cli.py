@@ -12,7 +12,8 @@ from finehier import suites
 from finehier.cli import build_parser, main
 from finehier.labeled_trees import hom_leq
 from finehier.quasiorder import Quasiorder, antichain, chain
-from finehier.spaces import QPartition, enumerate_posets, wadge_leq
+from finehier.spaces import (QPartition, discrete, enum_cos,
+                             enumerate_posets, product, sierpinski, wadge_leq)
 from finehier.suites import SuiteConfig, SuiteReport, run_suite, \
     UnknownSuiteError, SUITE_NAMES
 from finehier.terms import TermOrder, parse_term, term_to_str, term_tree
@@ -94,6 +95,85 @@ def test_inclusion_reports_a_planted_violation_like_a_pairwise_scan(
     assert expect and rep.violations == len(expect)
     assert rep.counterexamples == expect
     assert rep.checked == pairs * len(spaces)
+
+
+def _plant(monkeypatch):
+    """Drop the labelings a:0 b:0 and a:1 b:1 from every level on the
+    2-point chain a<b, for the suites and for the scans that check them;
+    returns the planted `_level_masks`."""
+    real = suites._level_masks
+
+    def planted(space, qo, terms):
+        masks = real(space, qo, terms)
+        if space.n == 2 and space.le[0][1]:
+            dropped = 1 | 1 << qo.size + 1
+            masks = {u: m & ~dropped for u, m in masks.items()}
+        return masks
+
+    monkeypatch.setattr(suites, "_level_masks", planted)
+    return planted
+
+
+def test_wadge_closure_reports_a_planted_violation_like_a_pairwise_scan(
+        monkeypatch):
+    # per term, the first member labeling (ascending) with a reduct outside
+    # the level, and the last such reduct, found by wadge_leq on every pair
+    cfg = SuiteConfig(suite="wadge-closure", max_nodes=3, max_points=2,
+                      max_q=3)
+    planted = _plant(monkeypatch)
+    rep = run_suite(cfg)
+    expect, checked = [], 0
+    for k in (2, 3):
+        qo, terms = antichain(k), suites._terms(cfg, k)
+        for space in suites._spaces(cfg):
+            values = suites._partitions(space, qo)
+            tags = [suites._part_tag(space, v) for v in values]
+            parts = [QPartition(space, qo, v) for v in values]
+            reducts = [[j for j, a in enumerate(parts) if wadge_leq(a, b)]
+                       for b in parts]
+            masks = planted(space, qo, terms)
+            for u in terms:
+                checked += 1
+                for i in range(len(parts)):
+                    outside = [j for j in reducts[i] if not masks[u] >> j & 1]
+                    if masks[u] >> i & 1 and outside:
+                        expect.append(f"k={k} {suites._space_tag(space)} "
+                                      f"{term_to_str(u)}: {tags[outside[-1]]} "
+                                      f"reduces to {tags[i]} but is outside")
+                        break
+    assert expect and rep.violations == len(expect)
+    assert rep.counterexamples == expect
+    assert rep.checked == checked
+
+
+def test_preservation_reports_a_planted_violation_like_a_pairwise_scan(
+        monkeypatch):
+    # per map, term and target labeling A, A's bit on the target against the
+    # bit of A o f (QPartition.precompose) on the source
+    cfg = SuiteConfig(suite="preservation", max_nodes=3, max_points=2,
+                      max_q=2)
+    planted = _plant(monkeypatch)
+    rep = run_suite(cfg)
+    qo, terms = antichain(2), suites._terms(cfg, 2)
+    _, proj, _ = product(sierpinski(), discrete(2, names=("0", "1")))
+    maps = [(f, repr(f)) for X in suites._spaces(cfg)
+            for Y in suites._spaces(cfg) for f in enum_cos(X, Y)]
+    expect, checked = [], 0
+    for f, name in maps + [(proj, "product projection")]:
+        xparts = suites._partitions(f.src, qo)
+        xmasks, ymasks = planted(f.src, qo, terms), planted(f.dst, qo, terms)
+        for u in terms:
+            for i, values in enumerate(suites._partitions(f.dst, qo)):
+                checked += 1
+                pulled = QPartition(f.dst, qo, values).precompose(f)
+                if (ymasks[u] >> i & 1
+                        != xmasks[u] >> xparts.index(pulled.values) & 1):
+                    expect.append(f"k=2 {name} {term_to_str(u)} "
+                                  f"{suites._part_tag(f.dst, values)}: "
+                                  "membership is not preserved")
+    assert expect and rep.violations == len(expect)
+    assert rep.counterexamples == expect
+    assert rep.checked == checked
 
 
 def test_qo_axioms_reports_every_broken_triple(monkeypatch):
