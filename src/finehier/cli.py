@@ -395,8 +395,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError,
-            SystemExit2) as exc:
+    except (ValueError, OSError, KeyError, SystemExit2) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -444,17 +444,26 @@ def family_eval(F, u, base, qo):
     return _eval_pieces(validate_family(F, u, base), base, qo)
 
 
-def _family_map_masks(F, fn):
+def _family_map_masks(F, fn, carrier):
+    """Move a family along a map of sets: each set m becomes
+    ``fn(m) & carrier``, whose root must be ``carrier``, and each nested
+    family moves onto its node's new component."""
     if F is WHOLE:
         return WHOLE
-    return UFamily(fn(F.carrier),
-                   {n: fn(m) for n, m in F.sets.items()},
-                   {n: _family_map_masks(c, fn) for n, c in F.children.items()})
+    G = UFamily(carrier, {n: fn(m) & carrier for n, m in F.sets.items()})
+    if G.sets.get(()) != carrier:
+        raise RuntimeError("the image of the root must be the new carrier")
+    comps = components(G)
+    G.children = {n: _family_map_masks(c, fn, comps[n])
+                  for n, c in F.children.items()}
+    return G
 
 
 def family_restrict(F, mask):
     """Trace a family on a subset: intersect every carrier and set."""
-    return _family_map_masks(F, lambda m: m & mask)
+    if F is WHOLE:
+        return WHOLE
+    return _family_map_masks(F, lambda m: m & mask, F.carrier & mask)
 
 
 def family_reduct(F, u, base):
@@ -495,9 +504,9 @@ def family_pullback(f, F, u, base_target):
     if f.dst != base_target.space:
         raise DifferentSpacesError("map target differs from the base space")
     validate_family(F, u, base_target)
-    G = _family_map_masks(F, f.preimage_mask)
-    src_base = borel(f.src).restrict(f.preimage_mask(base_target.carrier))
-    validate_family(G, u, src_base)
+    carrier = f.preimage_mask(base_target.carrier)
+    G = _family_map_masks(F, f.preimage_mask, carrier)
+    validate_family(G, u, borel(f.src).restrict(carrier))
     return G
 
 
@@ -513,26 +522,7 @@ def family_pushforward(f, F, u, base_source):
     if base_source.carrier != f.src.full:
         raise ValueError("pushforward applies to full-carrier families")
     validate_family(F, u, base_source)
-
-    def go(F, u, dst_carrier):
-        if F is WHOLE:
-            return WHOLE
-        tree = term_tree(term_decompose(u).core)
-        newsets = {n: cat_quantifier(f, m) & dst_carrier
-                   for n, m in F.sets.items()}
-        # the clipped image of the root is exactly the new carrier: the new
-        # component sits inside the image of the old one
-        if newsets[()] != dst_carrier:
-            raise RuntimeError("the image of the root must be the new carrier")
-        comps = components(TFamily(tree.nodes, newsets))
-        children = {}
-        for node in tree.nodes:
-            lab = tree.labels[node]
-            if not is_singleton(lab):
-                children[node] = go(F.children[node], lab, comps[node])
-        return UFamily(dst_carrier, newsets, children)
-
-    G = go(F, u, f.dst.full)
+    G = _family_map_masks(F, lambda m: cat_quantifier(f, m), f.dst.full)
     validate_family(G, u, borel(f.dst))
     return G
 

@@ -427,22 +427,21 @@ def enum_cos(X, Y):
 
 
 def enumerate_posets(n):
-    """One partial order on n points per isomorphism class
-    (deterministic)."""
-    pairs = [(i, j) for i in range(n) for j in range(n) if i < j]
-    seen = set()
-    out = []
-    # each unordered pair is incomparable, <, or >
-    for assign in itertools.product((0, 1, 2), repeat=len(pairs)):
-        rel = [(i, j) if a == 1 else (j, i)
-               for (i, j), a in zip(pairs, assign) if a]
-        le = preorder_closure(n, rel)
-        if sum(map(sum, le)) != n + len(rel):
-            continue  # the closure adds pairs: not transitive
-        canon = min(tuple(le[p[i]][p[j]] for i in range(n) for j in range(n))
-                    for p in itertools.permutations(range(n)))
-        if canon in seen:
-            continue
-        seen.add(canon)
-        out.append(FinSpace(le))
-    return tuple(out)
+    """One partial order on n points per isomorphism class: the first
+    reading of the class, reading each pair i < j as incomparable, i below
+    j or i above j, lexicographically; classes in the order of their
+    readings.  Each is an order on n - 1 points plus a maximal point above
+    a down-set."""
+    if n == 0:
+        return (FinSpace(()),)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    first = {}
+    for P in enumerate_posets(n - 1):
+        for up in P.opens():
+            le = [row + (not up >> i & 1,) for i, row in enumerate(P.le)]
+            le.append((False,) * (n - 1) + (True,))
+            reading, perm = min(
+                (tuple(le[p[i]][p[j]] + 2 * le[p[j]][p[i]] for i, j in pairs),
+                 p) for p in itertools.permutations(range(n)))
+            first[reading] = [[le[a][b] for b in perm] for a in perm]
+    return tuple(FinSpace(first[r]) for r in sorted(first))

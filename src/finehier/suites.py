@@ -297,33 +297,25 @@ def _unpreserved(f, qo, xmasks, ymasks, terms):
 
 
 def _suite_preservation(cfg, rep):
-    xs = _spaces(cfg)
     ys = _spaces(cfg, max_points=min(2, cfg.max_points))
-    S = sierpinski()
-    X4, proj, _ = product(S, discrete(2, names=("0", "1")))
+    # every continuous open surjection onto a space of at most 2 points,
+    # then the 4-point product projecting onto its first factor
+    maps = [(repr(f), f) for X in _spaces(cfg) for Y in ys
+            for f in enum_cos(X, Y)]
+    maps.append(("product projection",
+                 product(sierpinski(), discrete(2, names=("0", "1")))[1]))
     for k, qo, terms in _label_pools(cfg):
-        ymasks = {y: _level_masks(y, qo, terms) for y in ys}
-        for X in xs:
-            xmasks = None
-            for Y in ys:
-                maps = enum_cos(X, Y)
-                if not maps:
-                    continue
-                if xmasks is None:
-                    xmasks = _level_masks(X, qo, terms)
-                for f in maps:
-                    rep.checked += len(terms) * k ** Y.n
-                    for u, vals in _unpreserved(f, qo, xmasks, ymasks[Y],
-                                                terms):
-                        rep.fail(f"k={k} {f!r} {term_to_str(u)} "
-                                 f"{_part_tag(Y, vals)}: membership is not "
-                                 "preserved")
-        # the 4-point product projecting onto its first factor
-        rep.checked += len(terms) * k ** S.n
-        for u, vals in _unpreserved(proj, qo, _level_masks(X4, qo, terms),
-                                    _level_masks(S, qo, terms), terms):
-            rep.fail(f"k={k} product projection {term_to_str(u)} "
-                     f"{_part_tag(S, vals)}: membership is not preserved")
+        masks = {}  # space -> its levels, computed on first use
+        for name, f in maps:
+            for space in (f.src, f.dst):
+                if space not in masks:
+                    masks[space] = _level_masks(space, qo, terms)
+            rep.checked += len(terms) * k ** f.dst.n
+            for u, vals in _unpreserved(f, qo, masks[f.src], masks[f.dst],
+                                        terms):
+                rep.fail(f"k={k} {name} {term_to_str(u)} "
+                         f"{_part_tag(f.dst, vals)}: membership is not "
+                         "preserved")
         rep.notes.append(f"k={k} terms={len(terms)}")
 
 

@@ -6,8 +6,10 @@ from finehier.ordinals import (ZERO, ONE, OMEGA, from_int, parse_ordinal,
                                omega_power)
 from finehier.quasiorder import antichain
 from finehier.spaces import (FinSpace, ContMap, QPartition, sierpinski,
-                             discrete, product, cat_quantifier)
-from finehier.terms import Const, Shift, parse_term, enumerate_terms
+                             discrete, product, cat_quantifier, enum_cos,
+                             enumerate_posets)
+from finehier.terms import (Const, Shift, parse_term, enumerate_terms,
+                            term_apply_aut, term_to_str)
 from finehier.hierarchy import (Base, borel, TFamily, components,
                                 reduce_tfamily, level_has_reduction,
                                 UFamily, WHOLE, NotDetermined,
@@ -380,6 +382,56 @@ def test_pushforward_examples():
     E = UFamily(XY.full, {(): XY.full, (0,): 0})
     HE = family_pushforward(proj, E, u, borel(XY))
     assert HE.sets[(0,)] == 0
+
+
+def test_pull_and_push_keep_an_explicit_whole_child():
+    # a singleton-labeled node may carry the whole-carrier marker; both maps
+    # move it like any nested family
+    XY, proj, _ = product(S, discrete(2, names=("0", "1")))
+    u = T("Fq[0](1)")
+    F = UFamily(S.full, {(): S.full, (0,): 2}, {(0,): WHOLE})
+    G = family_pullback(proj, F, u, borel(S))
+    assert G.children == {(0,): WHOLE}
+    assert family_pushforward(proj, G, u, borel(XY)) == F
+
+
+def test_nested_families_along_open_surjections():
+    # families with nested levels, along every open surjection from a poset
+    # of at most 3 points onto one of at most 2 points and the product
+    # projection: pulling back commutes with precomposition, and pushing the
+    # pullback forward determines the original partition again
+    small = [X for n in (1, 2, 3) for X in enumerate_posets(n)]
+    maps = [f for X in small for Y in small if Y.n <= 2
+            for f in enum_cos(X, Y)]
+    maps.append(product(S, discrete(2, names=("0", "1")))[1])
+    # terms of at most 4 nodes with a shift-labeled node, one per orbit of
+    # the label swap (which relabels the families and partitions alike)
+    pool = [u for u in enumerate_terms(2, 4, SUBS)
+            if any(not terms.is_singleton(lab) for lab in
+                   terms.term_tree(terms.term_decompose(u).core).labels.values())
+            and term_to_str(u) <= term_to_str(term_apply_aut(Q2, (1, 0), u))]
+    families = {}
+    nested = 0
+    for j, f in enumerate(maps):
+        base = borel(f.dst)
+        for i, u in enumerate(pool):
+            if (f.dst, u) not in families:
+                families[f.dst, u] = list(enumerate_families(u, base))
+            # one family per map and term: the maps onto a space take turns
+            # through each term's families
+            fams = families[f.dst, u]
+            F = fams[(i + j) % len(fams)]
+            nested += any(c.carrier for c in F.children.values())
+            A = family_eval(F, u, base, Q2)
+            G = family_pullback(f, F, u, base)
+            pulled = family_eval(G, u, borel(f.src), Q2)
+            if isinstance(A, NotDetermined):
+                assert isinstance(pulled, NotDetermined)
+                continue
+            assert pulled == A.precompose(f)
+            H = family_pushforward(f, G, u, borel(f.src))
+            assert family_eval(H, u, base, Q2) == A
+    assert len(pool) == 152 and nested > len(maps) * len(pool) // 2
 
 
 def test_member_examples():

@@ -141,7 +141,23 @@ def test_product_order():
 
 
 def test_enumerate_posets_counts():
-    assert [len(enumerate_posets(n)) for n in (1, 2, 3, 4)] == [1, 2, 5, 16]
+    # a reading takes each pair i < j, in order, as incomparable (0), i
+    # below j (1) or i above j (2); every poset is the least reading of its
+    # class under relabeling, so the classes are distinct, and the list
+    # ascends by reading
+    def reading(le, p):
+        n = len(le)
+        return tuple(le[p[i]][p[j]] + 2 * le[p[j]][p[i]]
+                     for i in range(n) for j in range(i + 1, n))
+
+    assert enumerate_posets(0) == (FinSpace(()),)
+    for n, count in enumerate((1, 1, 2, 5, 16, 63)):
+        spaces = enumerate_posets(n)
+        readings = [reading(X.le, range(n)) for X in spaces]
+        assert len(spaces) == count and readings == sorted(set(readings))
+        for X, r in zip(spaces, readings):
+            assert r == min(reading(X.le, p)
+                            for p in itertools.permutations(range(n)))
 
 
 def test_partition_helpers():

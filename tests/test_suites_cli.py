@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -174,6 +175,34 @@ def test_preservation_reports_a_planted_violation_like_a_pairwise_scan(
     assert expect and rep.violations == len(expect)
     assert rep.counterexamples == expect
     assert rep.checked == checked
+
+
+def test_preservation_computes_each_space_and_map_once(monkeypatch):
+    # each space's levels once per label count, whether the space is a
+    # source, a target or the product projection's target; the maps once
+    # per pair of spaces in the whole run
+    levels, maps = Counter(), Counter()
+    real_levels, real_maps = suites._level_masks, suites.enum_cos
+
+    def counted_levels(space, qo, terms):
+        levels[space, qo.size] += 1
+        return real_levels(space, qo, terms)
+
+    def counted_maps(X, Y):
+        maps[X, Y] += 1
+        return real_maps(X, Y)
+
+    monkeypatch.setattr(suites, "_level_masks", counted_levels)
+    monkeypatch.setattr(suites, "enum_cos", counted_maps)
+    cfg = SuiteConfig(suite="preservation", max_nodes=2, max_points=3,
+                      max_q=3)
+    assert run_suite(cfg).passed
+    xs = suites._spaces(cfg)
+    assert set(maps) == {(X, Y) for X in xs for Y in xs if Y.n <= 2}
+    assert set(maps.values()) == {1}
+    X4 = product(sierpinski(), discrete(2))[0]
+    assert set(levels) == {(X, k) for X in xs + (X4,) for k in (2, 3)}
+    assert set(levels.values()) == {1}
 
 
 def test_qo_axioms_reports_every_broken_triple(monkeypatch):
@@ -569,6 +598,13 @@ def test_cli_check(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["check", "not-a-suite"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("content", [b"{not json", b'{"points": ["\xff"]}'])
+def test_cli_rejects_documents_that_are_not_json_text(tmp_path, content):
+    path = tmp_path / "space.json"
+    path.write_bytes(content)
+    _assert_usage_error("space", "check", "--space", str(path))
 
 
 def test_cli_missing_file(capsys):
