@@ -190,11 +190,18 @@ class Base:
         }
 
 
+_BORELS = {}  # space -> its stock base
+
+
 def borel(space):
     """The stock base on a finite T0 space: opens at 0, everything from 1
     on (every subset of a finite T0 space is a difference of opens)."""
-    return Base(space, space.full,
-                ((ZERO, space.opens()), (ONE, _all_submasks(space.full))))
+    hit = _BORELS.get(space)
+    if hit is None:
+        hit = _BORELS[space] = Base(
+            space, space.full,
+            ((ZERO, space.opens()), (ONE, _all_submasks(space.full))))
+    return hit
 
 
 # --- tree-indexed families ----------------------------------------------------
@@ -534,9 +541,9 @@ _LABEL_MASKS = {}  # (points, label count) -> per point, per label masks
 
 
 def clear_caches():
-    """Empty every memo (levels, label masks and term trees); intern tables
-    stay, so values keep their identity."""
-    for memo in (_LEVELS, _LABEL_MASKS, terms._TREES):
+    """Empty every memo (levels, label masks, stock bases and term trees);
+    intern tables stay, so values keep their identity."""
+    for memo in (_LEVELS, _LABEL_MASKS, _BORELS, terms._TREES):
         memo.clear()
 
 

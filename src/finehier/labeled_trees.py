@@ -3,8 +3,11 @@
 A tree is a finite prefix-closed set of index tuples (the empty tuple is
 the root) with a total labeling.  ``hom_leq(T, V, label_leq)`` decides
 whether some order-preserving map from T into V dominates labels pointwise;
-the map need not be injective, level-preserving or root-preserving.  This
-is the independent oracle used against the structural term comparison.
+the map need not be injective, level-preserving or root-preserving.
+``hom_rows(trees, label_leq)`` decides the same relation over a whole list
+of trees set at a time; the suites check the structural term comparison
+against it, and `hom_leq`, with `hom_leq_exhaustive` behind it, is the
+oracle the rows are checked against.
 
 JSON format: ``{"nodes": ["", "0", "1", "00", ...], "labels": {"": l, ...}}``
 with nodes written as digit strings (one digit per index, so arities up to
@@ -19,8 +22,8 @@ from ._memo import PairMemo
 from .quasiorder import json_list, json_node, json_object
 
 __all__ = [
-    "LabeledTree", "hom_leq", "hom_leq_exhaustive", "tree_to_dot",
-    "node_key",
+    "LabeledTree", "hom_leq", "hom_rows", "hom_leq_exhaustive",
+    "tree_to_dot", "node_key",
 ]
 
 
@@ -139,6 +142,55 @@ def hom_leq(T, V, label_leq, cache=None):
     a, b = _tnode(T), _tnode(V)
     memo = cache if cache is not None else PairMemo()
     return any(_emb(a, w, label_leq, memo) for w in b.subnodes())
+
+
+def hom_rows(trees, label_leq):
+    """`hom_leq` over every pair of ``trees``, set at a time: per tree T an
+    int whose bit j is ``hom_leq(T, trees[j], label_leq)``.
+
+    Every subnode of the trees is interned once and holds bits: the root of
+    ``trees[j]`` holds bit j, any other node a bit after those.  Bottom-up,
+    a node a lands on the nodes ``E(a)`` whose label dominates a's and that
+    lie in the reach ``W(c)`` of every child c of a; ``W(a)``, the nodes at
+    or above some node of ``E(a)``, is the reach of a.  This is `_emb`'s
+    definition, evaluated a node at a time instead of a pair at a time.
+    """
+    roots = [_tnode(t) for t in trees]
+    at = list(roots)         # bit -> the node that holds it
+    bits = {}                # node -> the bits it holds
+    for j, r in enumerate(roots):
+        bits[r] = bits.get(r, 0) | 1 << j
+    # children before parents: a reversed pre-order puts every node after
+    # its subtree, and a node met again keeps its first place
+    order = {}
+    for r in roots:
+        order.update(dict.fromkeys(reversed(r.subnodes())))
+    for x in order:
+        if x not in bits:
+            bits[x] = 1 << len(at)
+            at.append(x)
+    up = dict(bits)          # node -> the bits of the nodes at or above it
+    for x in reversed(order):
+        for c in x.kids:
+            up[c] |= up[x]
+    by_label = {}
+    for x, b in bits.items():
+        by_label[x.label] = by_label.get(x.label, 0) | b
+    above = {l: sum(b for l2, b in by_label.items() if label_leq(l, l2))
+             for l in by_label}  # label -> the bits of the labels above it
+    reach = {}
+    for a in order:
+        land = above[a.label]
+        for c in a.kids:
+            land &= reach[c]
+        # a bit already reached brings no new ancestors, so it is skipped
+        w = 0
+        while land:
+            w |= up[at[(land & -land).bit_length() - 1]]
+            land &= ~w
+        reach[a] = w
+    whole = (1 << len(roots)) - 1
+    return [reach[r] & whole for r in roots]
 
 
 def hom_leq_exhaustive(T, V, label_leq):

@@ -198,7 +198,7 @@ def product(X, Y):
 class ContMap:
     """A monotone (= continuous) total point map between finite spaces."""
 
-    __slots__ = ("src", "dst", "values", "_hash")
+    __slots__ = ("src", "dst", "values", "_hash", "_cos")
 
     def __init__(self, src, dst, values):
         values = tuple(values)
@@ -213,6 +213,7 @@ class ContMap:
         self.dst = dst
         self.values = values
         self._hash = hash((src, dst, values))
+        self._cos = None
 
     def __call__(self, p):
         return self.values[p]
@@ -264,11 +265,12 @@ class ContMap:
 
 def is_cos(f):
     """Continuous open surjection test.  Openness is checked on principal
-    up-sets; images of arbitrary up-sets are unions of these."""
-    if not f.is_surjective():
-        return False
-    return all(f.dst.is_upset(f.image_mask(f.src.ups[p]))
-               for p in range(f.src.n))
+    up-sets; images of arbitrary up-sets are unions of these.  The answer
+    is kept on the map."""
+    if f._cos is None:
+        f._cos = f.is_surjective() and all(
+            f.dst.is_upset(f.image_mask(f.src.ups[p])) for p in range(f.src.n))
+    return f._cos
 
 
 def is_meager(space, mask, within=None):

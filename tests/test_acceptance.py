@@ -36,11 +36,11 @@ def _run(num, desc, **cfg):
 
 
 def test_c01_oracle_equivalence():
-    # structural comparison == tree-morphism search, all pairs of terms with
-    # <= 4 nodes, subscripts in {0,1}, child lists <= 2, two-element antichain
-    _run(1, "structural comparison matches the tree-morphism oracle",
-         suite="hom-oracle", max_q=2, max_nodes=4, max_subscript=1,
-         max_children=2)
+    # structural comparison == tree-morphism search, all pairs of the 2,325
+    # terms with <= 4 nodes, subscripts in {0,1}, three-element antichain
+    rep = _run(1, "structural comparison matches the tree-morphism oracle",
+               suite="hom-oracle", max_q=3, max_nodes=4, max_subscript=1)
+    assert rep.checked == 5_405_625
 
 
 def test_c02_quasiorder_axioms():

@@ -300,7 +300,8 @@ def test_clear_caches_empties_every_memo():
     u = T("Fq[0](s[1](Fq[1](0)))")
     member(QPartition(S, Q2, (0, 1)), u, borel(S))
     terms.term_tree(u)
-    memos = (hierarchy._LEVELS, hierarchy._LABEL_MASKS, terms._TREES)
+    memos = (hierarchy._LEVELS, hierarchy._LABEL_MASKS, hierarchy._BORELS,
+             terms._TREES)
     assert all(memos)
     clear_caches()
     assert not any(memos)
@@ -341,6 +342,19 @@ def test_base_builds_each_shift_once(monkeypatch):
     monkeypatch.setattr(hierarchy, "left_subtract", rebuilt)
     assert base.shift(ONE) is shifted
     assert base.shift(ZERO) is base
+
+
+def test_borel_builds_each_stock_base_once(monkeypatch):
+    base = borel(S)
+
+    def rebuilt(*args):
+        raise AssertionError("the stock base was built again")
+
+    monkeypatch.setattr(hierarchy, "Base", rebuilt)
+    assert borel(S) is base
+    # an equal space with other names has the same stock base, as it has
+    # the same intern key
+    assert borel(FinSpace.from_pairs("xy", [("x", "y")])) is base
 
 
 def test_families_compare_by_fields_whatever_the_insertion_order():

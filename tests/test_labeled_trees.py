@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from finehier.labeled_trees import (LabeledTree, hom_leq, hom_leq_exhaustive,
-                                    tree_to_dot)
+                                    hom_rows, tree_to_dot)
 
 
 def _anti(a, b):
@@ -76,6 +76,19 @@ def test_matches_exhaustive_map_search():
     for t in trees:
         for v in trees:
             assert hom_leq(t, v, _anti) == hom_leq_exhaustive(t, v, _anti)
+
+
+@pytest.mark.parametrize("label_leq", [_anti, lambda a, b: a <= b])
+def test_rows_match_pairwise_hom_leq(label_leq):
+    trees = _all_trees(4)
+    assert hom_rows(trees, label_leq) == [
+        sum(1 << j for j, v in enumerate(trees) if hom_leq(t, v, label_leq))
+        for t in trees]
+    # a tree listed twice holds two bits, and both copies get one row
+    twice = trees[:40] + trees[30:40]
+    assert hom_rows(twice, label_leq) == [
+        sum(1 << j for j, v in enumerate(twice) if hom_leq(t, v, label_leq))
+        for t in twice]
 
 
 def test_hom_is_a_quasiorder():

@@ -80,6 +80,20 @@ def test_cat_quantifier_examples():
         cat_quantifier(ContMap(D2, S, (1, 1)), 0)
 
 
+def test_a_map_is_tested_for_openness_once(monkeypatch):
+    XY, proj, _ = product(S, discrete(2, names=("0", "1")))
+    bad = ContMap(D2, S, (1, 1))
+    assert is_cos(proj) and not is_cos(bad)
+
+    def retested(self):
+        raise AssertionError("the map was tested again")
+
+    monkeypatch.setattr(ContMap, "is_surjective", retested)
+    assert cat_quantifier(proj, XY.full) == S.full
+    with pytest.raises(NotOpenSurjectionError):
+        cat_quantifier(bad, 0)
+
+
 def test_cat_quantifier_laws():
     XY, proj, _ = product(S, discrete(2, names=("0", "1")))
     for a in range(XY.full + 1):

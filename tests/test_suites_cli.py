@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from finehier import suites
+from finehier import labeled_trees, suites
 from finehier.cli import build_parser, main
 from finehier.labeled_trees import hom_leq
 from finehier.quasiorder import Quasiorder, antichain, chain
@@ -226,6 +226,51 @@ def test_qo_axioms_reports_every_broken_triple(monkeypatch):
               f"{term_to_str(w)}" for u in terms for v in terms for w in terms
               if leq(u, v) and leq(v, w) and not leq(u, w)]
     assert expect and rep.counterexamples == expect
+
+
+def test_hom_oracle_reports_a_planted_mismatch_like_a_pairwise_scan(
+        monkeypatch):
+    # flip two bits of one row of the term order, one true pair and one
+    # false; the report must list what a scan over every pair with
+    # `hom_leq` lists, in the same order
+    cfg = SuiteConfig(suite="hom-oracle", max_q=2, max_nodes=3)
+    u, yes, no = (parse_term(t) for t in ("Fq[0](1)", "Fq[1](Fq[0](1))", "1"))
+    real = suites.TermOrder
+
+    def planted(qo, terms):
+        order = real(qo, terms)
+        assert order.leq(u, yes) and not order.leq(u, no)
+        order.rows[order.index[u]] ^= (1 << order.index[yes]
+                                       | 1 << order.index[no])
+        return order
+
+    monkeypatch.setattr(suites, "TermOrder", planted)
+    rep = run_suite(cfg)
+    terms = suites._terms(cfg, 2)
+    order = planted(antichain(2), terms)
+    expect = []
+    for a in terms:
+        for b in terms:
+            s = order.leq(a, b)
+            t = hom_leq(term_tree(a), term_tree(b), order.leq)
+            if s != t:
+                expect.append(f"structural={s} tree-map={t} at "
+                              f"{term_to_str(a)} vs {term_to_str(b)}")
+    assert len(expect) == 2
+    assert rep.counterexamples == expect
+    assert rep.checked == len(terms) ** 2
+
+
+def test_hom_oracle_runs_no_pairwise_matcher(monkeypatch):
+    # the suite decides whole rows; the pair-at-a-time matcher is only the
+    # oracle that the rows are tested against
+    def refuse(*args):
+        raise AssertionError("pairwise matcher called")
+
+    monkeypatch.setattr(labeled_trees, "_emb", refuse)
+    rep = run_suite(SuiteConfig(suite="hom-oracle", max_q=2, max_nodes=4,
+                                max_subscript=1, max_children=2))
+    assert rep.passed and rep.checked == 822 ** 2
 
 
 def test_every_bound_is_read_by_a_suite():
