@@ -19,10 +19,12 @@ families (pairwise disjoint siblings everywhere) always determine one.
 The *level* of a term over a base is the set of partitions some family
 determines.  ``level_mask`` computes it in one pass, as an int over all
 labelings by k labels in ``itertools.product(range(k), repeat=n)`` order
-(point 0 the most significant digit): a branch runs a DP over the unions
-of its children's working-level sets, then needs the root constant or the
-shifted head's level on the residue.  ``member`` is a bit lookup;
-``level_set_enum``, which evaluates every family, is the cross-oracle.
+(point 0 the most significant digit): a shift chain reads its core's
+level over the base shifted by the chain's sum, and a branch runs a DP
+over the unions of its children's level-0 sets, then needs the root
+constant or the shifted head's level on the residue.  ``member`` is a bit
+lookup; ``level_set_enum``, which evaluates every family, is the
+cross-oracle.
 """
 
 from __future__ import annotations
@@ -34,10 +36,11 @@ from . import terms
 from .labeled_trees import LabeledTree, node_key
 from .ordinals import ZERO, ONE, ord_cmp, left_subtract, parse_ordinal, ord_to_str
 from .quasiorder import json_list, json_node, json_object
-from .spaces import (QPartition, mask_points, points_mask, cat_quantifier,
-                     is_cos, NotOpenSurjectionError, DifferentSpacesError)
-from .terms import (is_singleton, singleton_value, term_decompose, term_tree,
-                    term_to_str, check_constants)
+from .spaces import (QPartition, mask_points, points_mask, submasks,
+                     cat_quantifier, is_cos, NotOpenSurjectionError,
+                     DifferentSpacesError)
+from .terms import (Const, Shift, is_singleton, singleton_value,
+                    term_decompose, term_tree, term_to_str, check_constants)
 
 __all__ = [
     "Base", "borel",
@@ -74,17 +77,6 @@ class NoReductError(ValueError):
 # --- bases -------------------------------------------------------------------
 
 
-def _all_submasks(mask):
-    out = []
-    sub = mask
-    while True:
-        out.append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & mask
-    return tuple(sorted(out))
-
-
 class Base:
     """Interned threshold-graded family of set lattices over a carrier;
     equal bases are one object, so they compare and hash by identity."""
@@ -119,7 +111,7 @@ class Base:
                 if a not in l2s or (carrier & ~a) not in l2s:
                     raise ValueError("each level and its complements sit in "
                                      "every later level")
-        if steps[-1][1] != _all_submasks(carrier):
+        if steps[-1][1] != submasks(carrier):
             raise ValueError("the final level must be the full power set")
         self = object.__new__(cls)
         self.space = space
@@ -200,7 +192,7 @@ def borel(space):
     if hit is None:
         hit = _BORELS[space] = Base(
             space, space.full,
-            ((ZERO, space.opens()), (ONE, _all_submasks(space.full))))
+            ((ZERO, space.opens()), (ONE, submasks(space.full))))
     return hit
 
 
@@ -558,41 +550,42 @@ def _index(values, k):
 def _level(base, carrier, u, k):
     """The level of ``u`` over k labels (see `level_mask`) over ``base``
     traced on the mask ``carrier``; tracing commutes with shifts, so the DP
-    reads every restricted level off ``base`` and its shifts."""
+    reads every restricted level off ``base`` and its shifts.  A shift
+    chain reads its core's level over the base shifted by the chain's sum."""
     key = (base, carrier, u, k)
     if key in _LEVELS:
         return _LEVELS[key]
     n = base.space.n
     r = (1 << k ** n) - 1
-    if is_singleton(u):
+    if isinstance(u, Shift):
+        dec = term_decompose(u)
+        r = _level(base.shift(dec.shift), carrier, dec.core, k)
+    elif isinstance(u, Const):
         if (n, k) not in _LABEL_MASKS:
             rows = tuple(itertools.product(range(k), repeat=n))
             _LABEL_MASKS[n, k] = [
                 [sum(1 << i for i, row in enumerate(rows) if row[p] == q)
                  for q in range(k)] for p in range(n)]
-        q = singleton_value(u)
         for p in mask_points(carrier):
-            r &= _LABEL_MASKS[n, k][p][q]
+            r &= _LABEL_MASKS[n, k][p][u.q]
     else:
-        dec = term_decompose(u)
-        b2 = base.shift(dec.shift)
-        # the residue takes the level of the head, the core's root label
-        head, kids = terms._split(dec.core)
+        # the residue takes the level of the head, the branch's root label
+        head, kids = terms._split(u)
         # union of the children's sets so far -> labelings whose restriction
         # to every chosen set lies in that child's level there
         reach = {0: r}
-        level0 = {m & carrier for m in b2.level0}
+        level0 = {m & carrier for m in base.level0}
         for kid in kids:
             new = {}
             for m in level0:
-                lv = _level(b2, m, kid, k)
+                lv = _level(base, m, kid, k)
                 for un, s in reach.items():
                     if s & lv:
                         new[un | m] = new.get(un | m, 0) | s & lv
             reach = new
         r = 0
         for un, s in reach.items():
-            r |= s & _level(b2, carrier & ~un, head, k)
+            r |= s & _level(base, carrier & ~un, head, k)
     _LEVELS[key] = r
     return r
 

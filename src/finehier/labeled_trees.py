@@ -20,6 +20,7 @@ import itertools
 
 from ._memo import PairMemo
 from .quasiorder import json_list, json_node, json_object
+from .spaces import close_bits
 
 __all__ = [
     "LabeledTree", "hom_leq", "hom_rows", "hom_leq_exhaustive",
@@ -173,6 +174,7 @@ def hom_rows(trees, label_leq):
     for x in reversed(order):
         for c in x.kids:
             up[c] |= up[x]
+    up = [up[x] for x in at]
     by_label = {}
     for x, b in bits.items():
         by_label[x.label] = by_label.get(x.label, 0) | b
@@ -183,12 +185,7 @@ def hom_rows(trees, label_leq):
         land = above[a.label]
         for c in a.kids:
             land &= reach[c]
-        # a bit already reached brings no new ancestors, so it is skipped
-        w = 0
-        while land:
-            w |= up[at[(land & -land).bit_length() - 1]]
-            land &= ~w
-        reach[a] = w
+        reach[a] = close_bits(land, up)
     whole = (1 << len(roots)) - 1
     return [reach[r] & whole for r in roots]
 

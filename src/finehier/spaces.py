@@ -52,6 +52,26 @@ def mask_points(mask):
     return tuple(out)
 
 
+def submasks(mask):
+    """Every subset of ``mask`` as a bitmask, ascending."""
+    out = [0]
+    while out[-1] != mask:
+        out.append((out[-1] - mask) & mask)
+    return tuple(out)
+
+
+def close_bits(bits, up):
+    """The union of the masks ``up[i]`` over the set bits i of ``bits``,
+    where each ``up[i]`` holds bit i and the masks are transitive (the mask
+    of a bit in ``up[i]`` lies inside ``up[i]``).  A bit already in the
+    union brings nothing new, so it is skipped."""
+    out = 0
+    while bits:
+        out |= up[(bits & -bits).bit_length() - 1]
+        bits &= ~out
+    return out
+
+
 def points_mask(points):
     m = 0
     for p in points:
@@ -294,13 +314,9 @@ def is_meager_bruteforce(space, mask, within=None):
         within = space.full
     mask &= within
     covered = 0
-    sub = mask
-    while True:
+    for sub in submasks(mask):
         if not space.interior(space.closure(sub, within), within):
             covered |= sub
-        if sub == 0:
-            break
-        sub = (sub - 1) & mask
     return covered == mask
 
 

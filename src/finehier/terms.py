@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from .labeled_trees import LabeledTree
 from .ordinals import (Ordinal, ZERO, OrdinalParser, ord_add, ord_cmp,
                        omega_power, ord_to_str)
-from .spaces import mask_points
+from .spaces import close_bits, mask_points
 
 __all__ = [
     "Const", "Shift", "Fq", "Fo", "Term", "Decomposition",
@@ -287,17 +287,6 @@ def _ancestors(succ):
     return anc
 
 
-def _close(base, anc):
-    """The union of the ancestor masks of the bits of ``base``.  A bit
-    already in the union brings no new ancestors, since reachability is
-    transitive, so it is skipped."""
-    out = 0
-    while base:
-        out |= anc[(base & -base).bit_length() - 1]
-        base &= ~out
-    return out
-
-
 def _rows(qo, terms):
     """The comparison over the closure of ``terms``, set at a time: the bit
     positions and, per position, the row of every v with u <= v.
@@ -344,7 +333,7 @@ def _rows(qo, terms):
         for q in range(qo.size):
             if qo.leq(order[i].q, q):
                 base |= by_label[q]
-        up[i] = _close(base, anc)
+        up[i] = close_bits(base, anc)
     del anc
     roots = sum(1 << r for r in with_root)
     anc_branch = _ancestors(below)
@@ -382,7 +371,7 @@ def _rows(qo, terms):
             base = body & plain
             for y in mask_points(body & has_shift):
                 base |= 1 << shift_of[y]
-            up[i] = _close(base, anc)
+            up[i] = close_bits(base, anc)
         else:
             r = root[i]
             base = root_part.get(r)
@@ -393,7 +382,7 @@ def _rows(qo, terms):
                 root_part[r] = base
             for c in below[i]:
                 base &= up[c]
-            up[i] = _close(base, anc_branch)
+            up[i] = close_bits(base, anc_branch)
     return index, up
 
 

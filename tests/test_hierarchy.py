@@ -9,7 +9,7 @@ from finehier.spaces import (FinSpace, ContMap, QPartition, sierpinski,
                              discrete, product, cat_quantifier, enum_cos,
                              enumerate_posets)
 from finehier.terms import (Const, Shift, parse_term, enumerate_terms,
-                            term_apply_aut, term_to_str)
+                            term_apply_aut, term_decompose, term_to_str)
 from finehier.hierarchy import (Base, borel, TFamily, components,
                                 reduce_tfamily, level_has_reduction,
                                 UFamily, WHOLE, NotDetermined,
@@ -28,6 +28,7 @@ Q2 = antichain(2)
 Q3 = antichain(3)
 LAMBDA = FinSpace.from_pairs("abc", [("a", "b"), ("c", "b")])
 CHAIN3 = FinSpace.from_pairs("abc", [("a", "b"), ("b", "c")])
+CHAIN4 = FinSpace.from_pairs("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
 SUBS = (ZERO, from_int(1))
 
 
@@ -308,25 +309,79 @@ def test_clear_caches_empties_every_memo():
     assert Const(0) is Const(0)  # intern tables stay
 
 
+def _omega_base(space):
+    """Opens at 0 and every subset from w on, so that 1 + w = w."""
+    return Base(space, space.full, ((ZERO, space.opens()),
+                                    (OMEGA, tuple(range(space.full + 1)))))
+
+
 def test_level_dp_interns_no_restricted_base():
     # the DP reads restricted levels as traces on a carrier mask, so every
     # base it meets is the given one or a shift of it; the second base puts
-    # its last threshold at w, which no other test does, so a restricted
-    # copy of it would be new to the intern table whatever ran before
-    chain4 = FinSpace.from_pairs("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+    # its last threshold at w, which no other test restricts, so a
+    # restricted copy of it would be new to the intern table whatever ran
+    # before
     before = set(Base._table)
     clear_caches()
-    for base in (borel(chain4),
-                 Base(chain4, chain4.full, ((ZERO, chain4.opens()),
-                                            (OMEGA, tuple(range(16)))))):
+    for base in (borel(CHAIN4), _omega_base(CHAIN4)):
         for text in ("Fq[0](s[1](Fq[1](0)),Fo[0](1,0))",
                      "s[0](Fq[1](Fq[0](1),0))", "Fo[1](Fq[0](1,0),1)"):
-            level_mask(chain4, Q2, T(text), base)
+            level_mask(CHAIN4, Q2, T(text), base)
     new = [Base._table[key] for key in set(Base._table) - before]
-    assert all(b.carrier == chain4.full for b in new)
+    assert all(b.carrier == CHAIN4.full for b in new)
     # interned, so identity is equality and the hash is the default one
     assert Base.__hash__ is object.__hash__
     assert Base.__eq__ is object.__eq__
+
+
+def _shift_pool_levels(monkeypatch):
+    """Fill the level memo for criterion 13's terms and their s[0] and s[1]
+    wrappers on the 3-chain; return how often the DP split a branch."""
+    pool = list(enumerate_terms(2, 3, SUBS))
+    pool += [Shift(a, u) for a in SUBS for u in pool]
+    real, splits = terms._split, []
+
+    def split(u):
+        splits.append(u)
+        return real(u)
+
+    monkeypatch.setattr(terms, "_split", split)
+    clear_caches()
+    for u in pool:
+        level_mask(CHAIN3, Q2, u)
+    return len(splits)
+
+
+def test_level_dp_splits_each_branch_entry_once(monkeypatch):
+    # a shift chain reuses its core's entry, so the union DP runs once per
+    # entry keyed by a branch term and never for a shift-keyed one
+    splits = _shift_pool_levels(monkeypatch)
+    branches = [key for key in hierarchy._LEVELS
+                if isinstance(key[2], (terms.Fq, terms.Fo))]
+    assert splits == len(branches)
+
+
+def test_level_dp_shift_entry_is_its_core_over_the_shifted_base(monkeypatch):
+    _shift_pool_levels(monkeypatch)
+    shifts = [(key, r) for key, r in hierarchy._LEVELS.items()
+              if isinstance(key[2], Shift)]
+    assert shifts
+    for (base, carrier, u, k), r in shifts:
+        dec = term_decompose(u)
+        core_key = (base.shift(dec.shift), carrier, dec.core, k)
+        assert hierarchy._LEVELS.get(core_key) == r, u
+
+
+def test_level_set_enum_cross_oracle_on_shift_chains():
+    # the w-base absorbs 1 + w = w, so the chains exercise shift composition
+    bases = (_omega_base(CHAIN4), borel(CHAIN4),
+             borel(CHAIN4).restrict(CHAIN4.mask_of_names("abd")))
+    for text in ("s[0](s[1](Fq[0](1)))", "s[1](s[0](Fq[0](1)))",
+                 "Fo[1](s[0](Fq[1](0)),1)", "s[0](s[0](Fq[0](1)))",
+                 "Fo[0](s[0](Fq[1](0)),1)", "Fq[1](s[0](Fq[0](1)),0)"):
+        for base in bases:
+            fast = {A.values for A in level_set(CHAIN4, Q2, T(text), base)}
+            assert fast == level_set_enum(CHAIN4, Q2, T(text), base), text
 
 
 def test_base_builds_each_shift_once(monkeypatch):
