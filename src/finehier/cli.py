@@ -16,7 +16,7 @@ from .hierarchy import (borel, Base, member, level_set, family_eval,
                         family_from_json, family_to_json, NotDetermined)
 from .labeled_trees import LabeledTree, hom_leq, tree_to_dot, node_key
 from .ordinals import parse_ordinal, ord_to_str, ord_add, ord_cmp, ord_star, f_map, wadge_to_str
-from .quasiorder import Quasiorder, antichain
+from .quasiorder import Quasiorder, antichain, json_parse
 from .spaces import (FinSpace, ContMap, QPartition, is_meager, cat_quantifier,
                      wadge_leq)
 from .suites import SuiteConfig, run_suite, SUITE_NAMES
@@ -26,7 +26,7 @@ from .terms import (parse_term, term_to_str, term_rank, term_decompose,
 
 def _load_json(path):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return json_parse(fh.read())
 
 
 def _emit(args, doc, text):

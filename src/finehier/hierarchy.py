@@ -39,8 +39,8 @@ from .quasiorder import json_list, json_node, json_object
 from .spaces import (QPartition, mask_points, points_mask, submasks,
                      cat_quantifier, is_cos, NotOpenSurjectionError,
                      DifferentSpacesError)
-from .terms import (Const, Shift, is_singleton, singleton_value,
-                    term_decompose, term_tree, term_to_str, check_constants)
+from .terms import (Const, Shift, is_singleton, singleton_value, term_tree,
+                    term_to_str, check_constants)
 
 __all__ = [
     "Base", "borel",
@@ -361,13 +361,6 @@ class NotDetermined:
                                  "labels": list(self.labels)}}
 
 
-def _working(u, base):
-    """The working base of a non-singleton term (``base`` shifted by the
-    term's shift part) and the flattened tree of its core."""
-    dec = term_decompose(u)
-    return base.shift(dec.shift), term_tree(dec.core)
-
-
 def validate_family(F, u, base):
     """Structural and level-membership validation of a family for a term
     over a base (whose carrier is the family's carrier).  Returns the
@@ -380,7 +373,7 @@ def validate_family(F, u, base):
         return [(base.carrier, singleton_value(u))]
     if F is WHOLE:
         raise InvalidFamilyError(f"{term_to_str(u)} needs an explicit family")
-    b2, tree = _working(u, base)
+    b2, tree = base.shift(u.shift), term_tree(u.core)
     if F.carrier != base.carrier:
         raise InvalidFamilyError("family carrier differs from the base carrier")
     if set(F.sets) != set(tree.nodes):
@@ -479,7 +472,7 @@ def family_reduct(F, u, base):
     def go(F, u, base):
         if F is WHOLE:
             return WHOLE
-        b2, tree = _working(u, base)
+        b2, tree = base.shift(u.shift), term_tree(u.core)
         try:
             rtf = reduce_tfamily(TFamily(tree.nodes, F.sets), b2.level0)
         except NoReductError as exc:
@@ -558,8 +551,7 @@ def _level(base, carrier, u, k):
     n = base.space.n
     r = (1 << k ** n) - 1
     if isinstance(u, Shift):
-        dec = term_decompose(u)
-        r = _level(base.shift(dec.shift), carrier, dec.core, k)
+        r = _level(base.shift(u.shift), carrier, u.core, k)
     elif isinstance(u, Const):
         if (n, k) not in _LABEL_MASKS:
             rows = tuple(itertools.product(range(k), repeat=n))
@@ -621,7 +613,7 @@ def enumerate_families(u, base):
     if is_singleton(u):
         yield WHOLE
         return
-    b2, tree = _working(u, base)
+    b2, tree = base.shift(u.shift), term_tree(u.core)
     nodes = tree.nodes
     snodes = [n for n in nodes if not is_singleton(tree.labels[n])]
 
@@ -682,7 +674,7 @@ def level_set_enum(space, qo, u, base=None, max_families=None):
         count += 1
         if max_families is not None and count > max_families:
             raise RuntimeError("enumeration budget exceeded")
-        res = _eval_pieces(validate_family(F, u, base), base, qo)
+        res = family_eval(F, u, base, qo)
         if isinstance(res, QPartition):
             seen.add(res.values)
     return seen
@@ -711,7 +703,7 @@ def family_to_json(space, F, u):
     if F is WHOLE:
         doc["whole"] = True
         return doc
-    tree = term_tree(term_decompose(u).core)
+    tree = term_tree(u.core)
     doc["carrier"] = list(space.set_of_names(F.carrier))
     doc["sets"] = {node_key(n): list(space.set_of_names(m))
                    for n, m in sorted(F.sets.items())}

@@ -83,8 +83,9 @@ class LabeledTree:
                 "labels": {node_key(n): self.labels[n] for n in self.nodes}}
 
 
-# Interned immutable view used by the matcher: identity hashing makes the
-# shared memo rows cheap across millions of queries.
+# Interned immutable view used by the matchers: `hom_rows` gives a subtree
+# shared by several trees one set of bits, and a `PairMemo` passed to
+# `hom_leq` across calls reuses its entries between overlapping subtrees.
 class _TNode:
     __slots__ = ("label", "kids", "_sub")
     _table = {}

@@ -15,12 +15,20 @@ __all__ = ["Quasiorder", "antichain", "chain", "preorder_closure",
            "json_node"]
 
 
+def json_parse(text):
+    """The document in a JSON text; a ValueError when it nests too deeply."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("the JSON document is nested too deeply") from None
+
+
 def json_object(doc, what, *required):
     """A JSON document, given as text or parsed, as a dict holding the
     fields ``required``; a ValueError naming ``what`` when it is not an
     object or lacks one of them."""
     if isinstance(doc, str):
-        doc = json.loads(doc)
+        doc = json_parse(doc)
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object")
     for key in required:

@@ -24,7 +24,9 @@ pool and its subterms builds, per term u, a big-int row holding every v
 with u <= v, so a comparison is a bit lookup.
 
 Terms are immutable and interned: structurally equal terms are the same
-object, so they hash by identity and index the rows cheaply.
+object, so they hash by identity and index the rows cheaply.  Each keeps
+its leading shift chain's ordinal sum and the term below it as ``shift``
+and ``core`` (0 and itself when it is no shift).
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ class SubscriptBoundError(ValueError):
 
 
 class Const:
-    __slots__ = ("q", "nodes", "maxq")
+    __slots__ = ("q", "nodes", "maxq", "shift", "core")
     _table = {}
 
     def __new__(cls, q):
@@ -79,6 +81,7 @@ class Const:
         self.q = q
         self.nodes = 1
         self.maxq = q
+        self.shift, self.core = ZERO, self
         cls._table[q] = self
         return self
 
@@ -87,7 +90,7 @@ class Const:
 
 
 class Shift:
-    __slots__ = ("alpha", "body", "nodes", "maxq")
+    __slots__ = ("alpha", "body", "nodes", "maxq", "shift", "core")
     _table = {}
 
     def __new__(cls, alpha, body):
@@ -103,6 +106,8 @@ class Shift:
         self.body = body
         self.nodes = 1 + body.nodes
         self.maxq = body.maxq
+        self.shift = ord_add(omega_power(alpha), body.shift)
+        self.core = body.core
         cls._table[key] = self
         return self
 
@@ -118,7 +123,7 @@ class _Branch:
 
 
 class Fq(_Branch):
-    __slots__ = ("q", "children", "nodes", "maxq")
+    __slots__ = ("q", "children", "nodes", "maxq", "shift", "core")
     _table = {}
 
     def __new__(cls, q, children):
@@ -138,12 +143,13 @@ class Fq(_Branch):
         self.children = children
         self.nodes = 1 + sum(c.nodes for c in children)
         self.maxq = max(q, *(c.maxq for c in children))
+        self.shift, self.core = ZERO, self
         cls._table[key] = self
         return self
 
 
 class Fo(_Branch):
-    __slots__ = ("alpha", "children", "nodes", "maxq")
+    __slots__ = ("alpha", "children", "nodes", "maxq", "shift", "core")
     _table = {}
 
     def __new__(cls, alpha, children):
@@ -163,6 +169,7 @@ class Fo(_Branch):
         self.children = children
         self.nodes = 1 + sum(c.nodes for c in children)
         self.maxq = max(c.maxq for c in children)
+        self.shift, self.core = ZERO, self
         cls._table[key] = self
         return self
 
@@ -186,17 +193,13 @@ def term_rank(u):
 
 def is_singleton(u):
     """True for constants and shift-chains ending in a constant."""
-    while isinstance(u, Shift):
-        u = u.body
-    return isinstance(u, Const)
+    return isinstance(u.core, Const)
 
 
 def singleton_value(u):
     if not is_singleton(u):
         raise SingletonTermError(f"{u!r} is not a singleton term")
-    while isinstance(u, Shift):
-        u = u.body
-    return u.q
+    return u.core.q
 
 
 @dataclass(frozen=True)
@@ -211,11 +214,7 @@ def term_decompose(u):
     The ``shift`` is the ordinal sum of w^alpha over the stripped chain in
     order; the ``core`` is the residue and is never a Shift.
     """
-    sh = ZERO
-    while isinstance(u, Shift):
-        sh = ord_add(sh, omega_power(u.alpha))
-        u = u.body
-    return Decomposition(sh, u)
+    return Decomposition(u.shift, u.core)
 
 
 def check_subscripts(u, gamma):
@@ -469,8 +468,7 @@ def term_paths(u):
     out = {}
 
     def walk(prefix, t):
-        core = term_decompose(t).core
-        tree = term_tree(core)
+        tree = term_tree(t.core)
         for node in tree.nodes:
             lab = tree.labels[node]
             seq = prefix + (node,)

@@ -372,6 +372,25 @@ def test_level_dp_shift_entry_is_its_core_over_the_shifted_base(monkeypatch):
         assert hierarchy._LEVELS.get(core_key) == r, u
 
 
+def test_shift_headed_terms_are_read_without_a_decomposition(monkeypatch):
+    # every reader takes the chain's sum and core from the term itself
+    def refuse(*args):
+        raise AssertionError("a shift chain was decomposed")
+
+    monkeypatch.setattr(terms, "Decomposition", refuse)
+    clear_caches()
+    base = borel(S)
+    for text in ("s[0](Fq[0](1))", "s[1](s[0](Fo[0](s[1](Fq[1](0)),1)))"):
+        u = T(text)
+        assert terms.term_paths(u)
+        seen = level_set_enum(S, Q2, u)
+        assert {A.values for A in level_set(S, Q2, u)} == seen
+        assert level_mask(S, Q2, u)
+        for F in enumerate_families(u, base):
+            family_eval(F, u, base, Q2)
+            family_to_json(S, family_reduct(F, u, base), u)
+
+
 def test_level_set_enum_cross_oracle_on_shift_chains():
     # the w-base absorbs 1 + w = w, so the chains exercise shift composition
     bases = (_omega_base(CHAIN4), borel(CHAIN4),

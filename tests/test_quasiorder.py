@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from finehier.quasiorder import Quasiorder, antichain, chain
+from finehier.spaces import FinSpace
 
 
 def test_automorphism_examples():
@@ -21,6 +22,13 @@ def test_invariants_rejected():
     for bad in ([0, 2], [0, -1], [0, "1"], [0, True]):
         with pytest.raises(ValueError, match="not two elements"):
             Quasiorder.from_json({"size": 2, "le": [bad]})
+
+
+def test_loaders_reject_text_nested_past_the_recursion_limit():
+    text = "[" * 200_000 + "]" * 200_000
+    for load in (FinSpace.from_json, Quasiorder.from_json):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            load(text)
 
 
 def _all_preorders(k):

@@ -652,6 +652,33 @@ def test_cli_rejects_documents_that_are_not_json_text(tmp_path, content):
     _assert_usage_error("space", "check", "--space", str(path))
 
 
+@pytest.mark.parametrize("argv", [
+    ("space", "check", "--space", "DEEP"),
+    ("family", "eval", "FAMILY"),
+    ("member", "DEEP", "--term", "0"),
+    ("levelset", "--term", "0", "--base", "DEEP"),
+    ("homcmp", "DEEP", "DEEP"),
+    ("term", "cmp", "0", "1", "--q", "DEEP"),
+])
+def test_cli_rejects_documents_nested_past_the_recursion_limit(
+        tmp_path, sierp, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    # a family nested 1,500 levels down, written as text because json.dumps
+    # would itself overflow
+    sets = '"carrier": ["a", "b"], "sets": {"": ["a", "b"]}'
+    family = tmp_path / "family.json"
+    family.write_text('{"term": "Fo[0](0)", ' + sets
+                      + (', "children": {"": {' + sets) * 1_500
+                      + "}}" * 1_500 + "}")
+    argv = [{"DEEP": str(deep), "FAMILY": str(family)}.get(a, a)
+            for a in argv]
+    if argv[0] in ("member", "levelset", "family"):
+        argv += ["--space", sierp]
+    assert (_assert_usage_error(*argv)
+            == "error: the JSON document is nested too deeply\n")
+
+
 def test_cli_missing_file(capsys):
     code, _, err = run_cli(capsys, "space", "check", "--space", "/nope.json")
     assert code == 2 and "error" in err

@@ -1,7 +1,8 @@
 import pytest
 
 from finehier.labeled_trees import hom_leq
-from finehier.ordinals import ZERO, from_int, parse_ordinal
+from finehier.ordinals import (ZERO, ONE, OMEGA, from_int, omega_power,
+                               ord_add, parse_ordinal)
 from finehier.quasiorder import antichain, chain
 from finehier.terms import (Const, Shift, Fq, Fo, term_rank,
                             term_decompose, term_leq, TermOrder, term_tree,
@@ -33,6 +34,35 @@ def test_decompose_examples():
     assert d.shift is parse_ordinal("w^2+w") and d.core is T("Fq[0](1)")
     d = term_decompose(T("s[0](1)"))
     assert d.shift is parse_ordinal("1") and d.core is Const(1)
+
+
+def _walk_chain(u):
+    """The chain's ordinal sum and core, by walking the chain."""
+    shift = ZERO
+    while isinstance(u, Shift):
+        shift = ord_add(shift, omega_power(u.alpha))
+        u = u.body
+    return shift, u
+
+
+def test_each_term_keeps_its_chain_sum_and_core():
+    pool = enumerate_terms(2, 5, (ZERO, ONE, OMEGA))
+    assert len(pool) == 19_342
+    # 1 + w = w, so the sum absorbs a smaller summand before a larger one
+    chains = [T(text) for text in (
+        "s[0](s[1](Fq[0](1)))", "s[1](s[0](Fq[0](1)))", "s[0](s[w](1))",
+        "s[w](s[1](s[0](0)))", "s[1](s[1](s[0](Fo[w](1,0))))",
+        "Fo[1](s[0](s[1](0)),1)")]
+    assert chains[0].shift is OMEGA and chains[2].shift is parse_ordinal("w^w")
+    for u in pool + tuple(chains):
+        shift, core = _walk_chain(u)
+        assert u.shift is shift and u.core is core, u
+        assert is_singleton(u) == isinstance(core, Const), u
+        if isinstance(core, Const):
+            assert singleton_value(u) == core.q
+        else:
+            with pytest.raises(SingletonTermError):
+                singleton_value(u)
 
 
 def test_decomposition_laws():
