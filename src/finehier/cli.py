@@ -38,7 +38,7 @@ def _emit(args, doc, text):
 
 def _space_of(args):
     if not getattr(args, "space", None):
-        raise SystemExit2("--space <file> is required here")
+        raise ValueError("--space <file> is required here")
     return FinSpace.from_json(_load_json(args.space))
 
 
@@ -68,10 +68,6 @@ def _term_of(args, text=None):
 
 def _names_list(text):
     return [x for x in text.split(",") if x] if text else []
-
-
-class SystemExit2(Exception):
-    pass
 
 
 # --- command handlers -----------------------------------------------------------
@@ -189,7 +185,7 @@ def _cmd_family(args):
     F = family_from_json(space, doc)
     text = args.term if args.term else doc.get("term")
     if not text:
-        raise SystemExit2("give --term or a 'term' field in the family file")
+        raise ValueError("give --term or a 'term' field in the family file")
     u = _term_of(args, text)
     base = _base_of(args, space)
     if args.action == "eval":
@@ -395,7 +391,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, KeyError, SystemExit2) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -521,14 +521,13 @@ def family_pushforward(f, F, u, base_source):
 
 # --- level sets ---------------------------------------------------------------
 
-_LEVELS = {}       # (base, carrier, term, label count) -> labeling mask
-_LABEL_MASKS = {}  # (points, label count) -> per point, per label masks
+_LEVELS = {}  # (base, carrier, term, label count) -> labeling mask
 
 
 def clear_caches():
-    """Empty every memo (levels, label masks, stock bases and term trees);
-    intern tables stay, so values keep their identity."""
-    for memo in (_LEVELS, _LABEL_MASKS, _BORELS, terms._TREES):
+    """Empty every memo (levels, stock bases and term trees); intern tables
+    stay, so values keep their identity."""
+    for memo in (_LEVELS, _BORELS, terms._TREES):
         memo.clear()
 
 
@@ -551,15 +550,17 @@ def _level(base, carrier, u, k):
     n = base.space.n
     r = (1 << k ** n) - 1
     if isinstance(u, Shift):
+        # a forwarding entry, for Fo heads and shift-headed children: 1,243,487
+        # _level calls at the criterion-03 bounds with it, 1,435,985 without
         r = _level(base.shift(u.shift), carrier, u.core, k)
     elif isinstance(u, Const):
-        if (n, k) not in _LABEL_MASKS:
-            rows = tuple(itertools.product(range(k), repeat=n))
-            _LABEL_MASKS[n, k] = [
-                [sum(1 << i for i, row in enumerate(rows) if row[p] == q)
-                 for q in range(k)] for p in range(n)]
-        for p in mask_points(carrier):
-            r &= _LABEL_MASKS[n, k][p][u.q]
+        if carrier & carrier - 1:
+            for p in mask_points(carrier):
+                r &= _level(base, 1 << p, u, k)
+        elif carrier:
+            # p's digit has weight w; the q-th w of each k * w labelings are q
+            w = k ** (n - carrier.bit_length())
+            r = r // ((1 << k * w) - 1) * ((1 << w) - 1 << u.q * w)
     else:
         # the residue takes the level of the head, the branch's root label
         head, kids = terms._split(u)

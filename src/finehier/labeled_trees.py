@@ -10,8 +10,8 @@ against it, and `hom_leq`, with `hom_leq_exhaustive` behind it, is the
 oracle the rows are checked against.
 
 JSON format: ``{"nodes": ["", "0", "1", "00", ...], "labels": {"": l, ...}}``
-with nodes written as digit strings (one digit per index, so arities up to
-10 -- plenty at desk scale).
+with nodes written as digit strings, one digit per index: a node has at
+most 10 children there (indices 0 to 9), and `node_key` refuses any other.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ __all__ = [
 
 def node_key(node):
     """The digit-string form of a node, as in the JSON documents."""
+    if any(i > 9 for i in node):
+        raise ValueError(f"node {node} has a child index above 9")
     return "".join(str(i) for i in node)
 
 

@@ -109,6 +109,7 @@ def test_c06_member_cross_oracle():
     _verdict(6, mismatches == 0,
              "membership decision matches family enumeration",
              f" (checked={checked}, {time.time() - t0:.1f}s)")
+    assert checked == 357_923
 
 
 def test_c07_reduct_correctness():
@@ -152,6 +153,7 @@ def test_c08_category_quantifier_laws():
     _verdict(8, not bad, "category-quantifier laws hold on all enumerated maps",
              f" (maps={len(maps)}, checked={checked}, "
              f"{time.time() - t0:.1f}s)" + (" first: " + bad[0] if bad else ""))
+    assert len(maps) == 27 and checked == 198
 
 
 def test_c09_level_translation():

@@ -301,12 +301,29 @@ def test_clear_caches_empties_every_memo():
     u = T("Fq[0](s[1](Fq[1](0)))")
     member(QPartition(S, Q2, (0, 1)), u, borel(S))
     terms.term_tree(u)
-    memos = (hierarchy._LEVELS, hierarchy._LABEL_MASKS, hierarchy._BORELS,
-             terms._TREES)
+    memos = (hierarchy._LEVELS, hierarchy._BORELS, terms._TREES)
     assert all(memos)
     clear_caches()
     assert not any(memos)
     assert Const(0) is Const(0)  # intern tables stay
+
+
+def test_constant_levels_match_brute_force():
+    # a constant's level holds the labelings that are q on every carrier
+    # point, in itertools.product order; every carrier, empty one included
+    clear_caches()
+    for n in range(5):
+        for space in enumerate_posets(n):
+            for k in (1, 2, 3):
+                rows = list(itertools.product(range(k), repeat=n))
+                for carrier in range(space.full + 1):
+                    base = borel(space).restrict(carrier)
+                    points = [p for p in range(n) if carrier >> p & 1]
+                    for q in range(k):
+                        want = sum(1 << i for i, row in enumerate(rows)
+                                   if all(row[p] == q for p in points))
+                        got = level_mask(space, antichain(k), Const(q), base)
+                        assert got == want, (space, carrier, k, q)
 
 
 def _omega_base(space):

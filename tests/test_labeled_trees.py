@@ -117,6 +117,15 @@ def test_json_round_trip():
     assert again.labels == ROOT0_CHILD1.labels
 
 
+def test_json_refuses_a_child_index_a_digit_cannot_hold():
+    # the key of node (10,) would read back as the node (1, 0)
+    nine = _tree(((), 0), *(((i,), 1) for i in range(10)))
+    assert LabeledTree.from_json(nine.to_json()).nodes == nine.nodes
+    eleven = _tree(((), 0), *(((i,), 1) for i in range(11)))
+    with pytest.raises(ValueError, match="child index above 9"):
+        eleven.to_json()
+
+
 def test_dot_output():
     dot = tree_to_dot(ROOT0_CHILD1)
     assert dot.startswith("digraph")

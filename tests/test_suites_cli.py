@@ -456,6 +456,25 @@ def test_cli_rejects_deep_literals(argv):
     assert "nests over 100 levels" in _assert_usage_error(*argv)
 
 
+@pytest.mark.parametrize("action", ["tree", "paths"])
+def test_cli_rejects_node_keys_past_nine(action):
+    # the eleventh child of the root has index 10, two digits in a key
+    term = "Fq[0](0,0,0,0,0,0,0,0,0,0,Fq[1](0))"
+    assert "child index above 9" in _assert_usage_error("term", action, term)
+
+
+def test_cli_needs_a_space():
+    assert (_assert_usage_error("space", "check")
+            == "error: --space <file> is required here\n")
+
+
+def test_cli_needs_a_term_for_a_family(tmp_path, sierp):
+    family = _write(tmp_path, "f.json", {"carrier": ["a", "b"],
+                                         "sets": {"": ["a", "b"]}})
+    assert (_assert_usage_error("family", "eval", family, "--space", sierp)
+            == "error: give --term or a 'term' field in the family file\n")
+
+
 def test_cli_rejects_partial_point_map(tmp_path, sierp):
     mp = _write(tmp_path, "m.json", {"values": {"a": "a"}})
     err = _assert_usage_error("space", "catq", "--space", sierp, "--target",
