@@ -158,6 +158,8 @@ def hom_rows(trees, label_leq):
     lie in the reach ``W(c)`` of every child c of a; ``W(a)``, the nodes at
     or above some node of ``E(a)``, is the reach of a.  This is `_emb`'s
     definition, evaluated a node at a time instead of a pair at a time.
+    Many nodes share a landing set, so each distinct ``E(a)`` is closed
+    upward once.
     """
     roots = [_tnode(t) for t in trees]
     at = list(roots)         # bit -> the node that holds it
@@ -184,11 +186,15 @@ def hom_rows(trees, label_leq):
     above = {l: sum(b for l2, b in by_label.items() if label_leq(l, l2))
              for l in by_label}  # label -> the bits of the labels above it
     reach = {}
+    closed = {}              # landing set -> the bits at or above it
     for a in order:
         land = above[a.label]
         for c in a.kids:
             land &= reach[c]
-        reach[a] = close_bits(land, up)
+        w = closed.get(land)
+        if w is None:
+            w = closed[land] = close_bits(land, up)
+        reach[a] = w
     whole = (1 << len(roots)) - 1
     return [reach[r] & whole for r in roots]
 

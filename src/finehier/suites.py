@@ -37,6 +37,8 @@ class UnknownSuiteError(ValueError):
 # the least value of each bounded field (max_children None is unbounded)
 _LEAST = {"max_nodes": 1, "max_subscript": 0, "max_points": 1, "max_q": 1,
           "max_children": 0}
+# the suites that sweep the label counts 2 .. max_q, so check nothing below 2
+_LABEL_SWEEPS = frozenset({"inclusion", "wadge-closure", "preservation", "hk"})
 
 
 @dataclass
@@ -53,6 +55,8 @@ class SuiteConfig:
             value = getattr(self, name)
             if value is not None and value < least:
                 raise ValueError(f"{name} must be at least {least}")
+        if self.suite in _LABEL_SWEEPS and self.max_q < 2:
+            raise ValueError(f"max_q must be at least 2 for {self.suite}")
 
 
 @dataclass

@@ -286,6 +286,20 @@ def _ancestors(succ):
     return anc
 
 
+def _closer(anc):
+    """`close_bits` over the ancestor masks ``anc``, closing each distinct
+    base once: the closed rows are kept per base for as long as the
+    returned function lives."""
+    closed = {}
+
+    def close(base):
+        row = closed.get(base)
+        if row is None:
+            row = closed[base] = close_bits(base, anc)
+        return row
+    return close
+
+
 def _rows(qo, terms):
     """The comparison over the closure of ``terms``, set at a time: the bit
     positions and, per position, the row of every v with u <= v.
@@ -295,6 +309,8 @@ def _rows(qo, terms):
     of v, into v's root, or into the body of a shift with a smaller
     subscript -- make the row the union of the ancestor masks, in the
     successor graph for u's kind, of a base set decided by u's own clause.
+    Many terms share a base, so each closure table -- the constants', each
+    shift subscript's and the branches' -- closes each distinct base once.
     """
     index = _closure(terms)
     order = list(index)
@@ -326,16 +342,16 @@ def _rows(qo, terms):
     # constants read no other row, so their rows come first and their
     # ancestor table is gone before the others are built
     up = [0] * len(order)
-    anc = _ancestors(kids)
+    close = _closer(_ancestors(kids))
     for i in mask_points(consts):
         base = 0
         for q in range(qo.size):
             if qo.leq(order[i].q, q):
                 base |= by_label[q]
-        up[i] = close_bits(base, anc)
-    del anc
+        up[i] = close(base)
+    del close
     roots = sum(1 << r for r in with_root)
-    anc_branch = _ancestors(below)
+    close_branch = _closer(_ancestors(below))
     shift_rules = {}
 
     def shift_rule(a):
@@ -354,8 +370,8 @@ def _rows(qo, terms):
                         shift_of[kids[i][0]] = i
                     else:
                         plain |= 1 << i
-        return (_ancestors(succ), plain, sum(1 << y for y in shift_of),
-                shift_of)
+        return (_closer(_ancestors(succ)), plain,
+                sum(1 << y for y in shift_of), shift_of)
 
     root_part = {}
     for i, u in enumerate(order):
@@ -365,12 +381,12 @@ def _rows(qo, terms):
             rule = shift_rules.get(u.alpha)
             if rule is None:
                 rule = shift_rules[u.alpha] = shift_rule(u.alpha)
-            anc, plain, has_shift, shift_of = rule
+            close, plain, has_shift, shift_of = rule
             body = up[kids[i][0]]
             base = body & plain
             for y in mask_points(body & has_shift):
                 base |= 1 << shift_of[y]
-            up[i] = close_bits(base, anc)
+            up[i] = close(base)
         else:
             r = root[i]
             base = root_part.get(r)
@@ -381,7 +397,7 @@ def _rows(qo, terms):
                 root_part[r] = base
             for c in below[i]:
                 base &= up[c]
-            up[i] = close_bits(base, anc_branch)
+            up[i] = close_branch(base)
     return index, up
 
 

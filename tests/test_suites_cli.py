@@ -598,6 +598,17 @@ def test_cli_rejects_negative_bounds(flag):
         SuiteConfig(suite="reduct", **{name: -1})
 
 
+@pytest.mark.parametrize("suite", ["inclusion", "wadge-closure",
+                                   "preservation", "hk"])
+def test_cli_rejects_label_sweeps_without_two_labels(suite):
+    # these suites sweep the label counts 2 .. max_q; below 2 they would
+    # check nothing and still pass
+    assert (_assert_usage_error("check", suite, "--max-q", "1")
+            == f"error: max_q must be at least 2 for {suite}\n")
+    with pytest.raises(ValueError):
+        SuiteConfig(suite=suite, max_q=1)
+
+
 def test_cli_check_defaults_are_the_config_defaults():
     args = build_parser().parse_args(["check", "fmap"])
     cfg = SuiteConfig(suite="fmap")

@@ -1,6 +1,10 @@
+from collections import Counter
+
 import pytest
 
-from finehier.labeled_trees import hom_leq
+import finehier.labeled_trees as labeled_trees
+import finehier.terms as terms_module
+from finehier.labeled_trees import hom_leq, hom_rows
 from finehier.ordinals import (ZERO, ONE, OMEGA, from_int, omega_power,
                                ord_add, parse_ordinal)
 from finehier.quasiorder import antichain, chain
@@ -212,6 +216,34 @@ def test_rows_are_the_pairwise_order():
     assert big not in order.index
     assert order.leq(u, big) == tree_leq(order, u, big)
     assert order.leq(big, big)
+
+
+def test_each_table_closes_each_base_once(monkeypatch):
+    # the term order and the tree-map matcher over the order-sweep pool
+    # (2 labels, at most 4 nodes, subscripts {0, 1}, at most 2 children)
+    # close no base twice under one ancestor table
+    closed, tables = {}, []
+
+    def recorder(module):
+        real = module.close_bits
+        seen = closed[module.__name__] = Counter()
+
+        def close_bits(bits, up):
+            tables.append(up)  # kept alive, so no two tables share an id
+            seen[id(up), bits] += 1
+            return real(bits, up)
+        monkeypatch.setattr(module, "close_bits", close_bits)
+
+    recorder(terms_module)
+    recorder(labeled_trees)
+    terms = enumerate_terms(2, 4, SUBS, max_children=2)
+    order = TermOrder(Q2, terms)
+    hom_rows([term_tree(t) for t in order.index], order.leq)
+    assert len(terms) == 822
+    for name, seen in closed.items():
+        assert seen, name
+        twice = [key for key, n in seen.items() if n > 1]
+        assert not twice, (name, len(twice))
 
 
 def test_constants_outside_the_quasiorder():
