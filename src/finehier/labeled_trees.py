@@ -4,10 +4,10 @@ A tree is a finite prefix-closed set of index tuples (the empty tuple is
 the root) with a total labeling.  ``hom_leq(T, V, label_leq)`` decides
 whether some order-preserving map from T into V dominates labels pointwise;
 the map need not be injective, level-preserving or root-preserving.
-``hom_rows(trees, label_leq)`` decides the same relation over a whole list
-of trees set at a time; the suites check the structural term comparison
-against it, and `hom_leq`, with `hom_leq_exhaustive` behind it, is the
-oracle the rows are checked against.
+``hom_rows(trees, labels)`` decides it over a whole list of trees set at
+a time, with labels ordered by a `TermOrder`'s rows; the suites check the
+structural term comparison against it, and `hom_leq`, with
+`hom_leq_exhaustive` behind it, is the oracle the rows are checked against.
 
 JSON format: ``{"nodes": ["", "0", "1", "00", ...], "labels": {"": l, ...}}``
 with nodes written as digit strings, one digit per index: a node has at
@@ -148,9 +148,13 @@ def hom_leq(T, V, label_leq, cache=None):
     return any(_emb(a, w, label_leq, memo) for w in b.subnodes())
 
 
-def hom_rows(trees, label_leq):
+def hom_rows(trees, labels):
     """`hom_leq` over every pair of ``trees``, set at a time: per tree T an
-    int whose bit j is ``hom_leq(T, trees[j], label_leq)``.
+    int whose bit j is ``hom_leq(T, trees[j], label_leq)``, where the
+    quasiorder ``label_leq`` comes as a table with a `TermOrder`'s fields:
+    ``labels.index`` gives every label a bit, and ``labels.rows[i]`` holds
+    the bits of the labels at or above bit i's label.  Labels sharing a
+    row are equivalent, so the nodes above them are gathered once per row.
 
     Every subnode of the trees is interned once and holds bits: the root of
     ``trees[j]`` holds bit j, any other node a bit after those.  Bottom-up,
@@ -183,8 +187,13 @@ def hom_rows(trees, label_leq):
     by_label = {}
     for x, b in bits.items():
         by_label[x.label] = by_label.get(x.label, 0) | b
-    above = {l: sum(b for l2, b in by_label.items() if label_leq(l, l2))
-             for l in by_label}  # label -> the bits of the labels above it
+    by_row = {}              # row -> (its labels' bits, their nodes' bits)
+    for l, b in by_label.items():
+        i = labels.index[l]
+        m, n = by_row.get(labels.rows[i], (0, 0))
+        by_row[labels.rows[i]] = m | 1 << i, n | b
+    lifted = {r: sum(n for m, n in by_row.values() if r & m) for r in by_row}
+    above = {l: lifted[labels.rows[labels.index[l]]] for l in by_label}
     reach = {}
     closed = {}              # landing set -> the bits at or above it
     for a in order:

@@ -182,9 +182,9 @@ def _suite_hom_oracle(cfg, rep):
     qo = antichain(cfg.max_q)
     terms = _terms(cfg, cfg.max_q)
     order = TermOrder(qo, terms)
-    # the matcher's rows over the trees of the order's closure, so that
-    # both tables share their bit positions
-    tree_rows = hom_rows([term_tree(t) for t in order.index], order.leq)
+    # the matcher's rows over the trees of the order's closure, with the
+    # order's rows as label order, so both tables share their bit positions
+    tree_rows = hom_rows([term_tree(t) for t in order.index], order)
     pool = sum(1 << order.index[u] for u in terms)
     rep.checked += len(terms) ** 2
     for u in terms:

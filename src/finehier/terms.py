@@ -311,6 +311,8 @@ def _rows(qo, terms):
     successor graph for u's kind, of a base set decided by u's own clause.
     Many terms share a base, so each closure table -- the constants', each
     shift subscript's and the branches' -- closes each distinct base once.
+    A shift's base depends only on its subscript and body row, and a
+    branch's root part only on its root row: each is walked once.
     """
     index = _closure(terms)
     order = list(index)
@@ -370,10 +372,11 @@ def _rows(qo, terms):
                         shift_of[kids[i][0]] = i
                     else:
                         plain |= 1 << i
+        # the last entry maps each body row met to the row of a shift over it
         return (_closer(_ancestors(succ)), plain,
-                sum(1 << y for y in shift_of), shift_of)
+                sum(1 << y for y in shift_of), shift_of, {})
 
-    root_part = {}
+    root_part = {}            # root row -> a branch's base before its children
     for i, u in enumerate(order):
         if isinstance(u, Const):
             continue
@@ -381,18 +384,21 @@ def _rows(qo, terms):
             rule = shift_rules.get(u.alpha)
             if rule is None:
                 rule = shift_rules[u.alpha] = shift_rule(u.alpha)
-            close, plain, has_shift, shift_of = rule
+            close, plain, has_shift, shift_of, lifted = rule
             body = up[kids[i][0]]
-            base = body & plain
-            for y in mask_points(body & has_shift):
-                base |= 1 << shift_of[y]
-            up[i] = close(base)
+            row = lifted.get(body)
+            if row is None:
+                base = body & plain
+                for y in mask_points(body & has_shift):
+                    base |= 1 << shift_of[y]
+                row = lifted[body] = close(base)
+            up[i] = row
         else:
-            r = root[i]
+            r = up[root[i]]
             base = root_part.get(r)
             if base is None:
-                base = up[r] & ~branches
-                for x in mask_points(up[r] & roots):
+                base = r & ~branches
+                for x in mask_points(r & roots):
                     base |= with_root[x]
                 root_part[r] = base
             for c in below[i]:

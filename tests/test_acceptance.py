@@ -37,14 +37,18 @@ def _run(num, desc, **cfg):
 
 def test_c01_oracle_equivalence():
     # structural comparison == tree-morphism search, all pairs of the 2,325
-    # terms with <= 4 nodes over a three-element antichain, and of the 7,990
-    # terms with <= 5 nodes over a two-element one; subscripts in {0,1}
+    # terms with <= 4 nodes over a three-element antichain, of the 7,990
+    # terms with <= 5 nodes over a two-element one, and of the 28,293 terms
+    # with <= 5 nodes over the three-element one; subscripts in {0,1}
     rep = _run(1, "structural comparison matches the tree-morphism oracle",
                suite="hom-oracle", max_q=3, max_nodes=4, max_subscript=1)
     assert rep.checked == 5_405_625
     rep = _run(1, "structural comparison matches the tree-morphism oracle",
                suite="hom-oracle", max_q=2, max_nodes=5, max_subscript=1)
     assert rep.checked == 63_840_100
+    rep = _run(1, "structural comparison matches the tree-morphism oracle",
+               suite="hom-oracle", max_q=3, max_nodes=5, max_subscript=1)
+    assert rep.checked == 800_493_849
 
 
 def test_c02_quasiorder_axioms():

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -221,8 +222,10 @@ def test_rows_are_the_pairwise_order():
 def test_each_table_closes_each_base_once(monkeypatch):
     # the term order and the tree-map matcher over the order-sweep pool
     # (2 labels, at most 4 nodes, subscripts {0, 1}, at most 2 children)
-    # close no base twice under one ancestor table
-    closed, tables = {}, []
+    # close no base twice under one ancestor table; the order walks the
+    # bits of each distinct (subscript, body row) and of each distinct
+    # root row once, and the matcher reads the order's rows, never `leq`
+    closed, tables, walks = {}, [], []
 
     def recorder(module):
         real = module.close_bits
@@ -234,16 +237,64 @@ def test_each_table_closes_each_base_once(monkeypatch):
             return real(bits, up)
         monkeypatch.setattr(module, "close_bits", close_bits)
 
+    def no_leq(order, u, v):
+        raise AssertionError("hom_rows compared two labels by TermOrder.leq")
+
+    def mask_points(mask, real=terms_module.mask_points):
+        walks.append(mask)
+        return real(mask)
+
     recorder(terms_module)
     recorder(labeled_trees)
+    monkeypatch.setattr(terms_module, "mask_points", mask_points)
     terms = enumerate_terms(2, 4, SUBS, max_children=2)
     order = TermOrder(Q2, terms)
-    hom_rows([term_tree(t) for t in order.index], order.leq)
+    monkeypatch.setattr(TermOrder, "leq", no_leq)
+    hom_rows([term_tree(t) for t in order.index], order)
     assert len(terms) == 822
     for name, seen in closed.items():
         assert seen, name
         twice = [key for key, n in seen.items() if n > 1]
         assert not twice, (name, len(twice))
+    row = {t: order.rows[order.index[t]] for t in order.index}
+    bodies = {(t.alpha, row[t.body]) for t in order.index
+              if isinstance(t, Shift)}
+    roots = {row[Const(t.q) if isinstance(t, Fq) else
+                 Shift(t.alpha, t.children[0])]
+             for t in order.index if isinstance(t, (Fq, Fo))}
+    # 204 shift terms with 10 distinct body rows per subscript, and 206
+    # branch roots with 16 distinct rows; one more walk lists the constants
+    assert sum(isinstance(t, Shift) for t in order.index) == 204
+    assert Counter(a for a, _ in bodies) == {ZERO: 10, ONE: 10}
+    assert len(roots) == 16
+    assert len(walks) == 1 + len(bodies) + len(roots)
+
+
+def test_tables_are_pinned_byte_for_byte():
+    # SHA-256 over each term's string and its row's bytes, in index order,
+    # for the term order and for the tree-map matcher's rows over the same
+    # closure; the digests were taken before either table kept its walks
+    # per distinct row
+    want = {
+        (2, 4, 2): "0a68f6c114d4a3f30276b0f701cda4dd"
+                   "134ee23fcba01fe4eee9a6d8167ba58c",
+        (3, 4, None): "debf1f91fe7a6849098483aeee52c79c"
+                      "2b2920698ce877ed4f634d0b2f623de9",
+        (2, 5, None): "9a9175265bb295bb492ccc34195974c3"
+                      "e6ba52ce41ccb006d929087f8b4d0111",
+    }
+    for (k, nodes, children), digest in want.items():
+        order = TermOrder(antichain(k),
+                          enumerate_terms(k, nodes, SUBS, children))
+        trees = hom_rows([term_tree(t) for t in order.index], order)
+        width = (len(order.rows) + 7) // 8
+        for rows in (order.rows, trees):
+            h = hashlib.sha256()
+            for t, r in zip(order.index, rows):
+                h.update(term_to_str(t).encode() + b":"
+                         + r.to_bytes(width, "little"))
+            assert h.hexdigest() == digest, (k, nodes, children)
+    assert len(order.index) == 7_990
 
 
 def test_constants_outside_the_quasiorder():
