@@ -22,8 +22,9 @@ labelings by k labels in ``itertools.product(range(k), repeat=n)`` order
 (point 0 the most significant digit): a shift chain reads its core's
 level over the base shifted by the chain's sum, and a branch runs a DP
 over the unions of its children's level-0 sets, then needs the root
-constant or the shifted head's level on the residue.  ``member`` is a bit
-lookup; ``level_set_enum``, which evaluates every family, is the
+constant or the shifted head's level on the residue; the DP does not read
+the root, so the branches over one child tuple share it.  ``member`` is a
+bit lookup; ``level_set_enum``, which evaluates every family, is the
 cross-oracle.
 """
 
@@ -522,12 +523,14 @@ def family_pushforward(f, F, u, base_source):
 # --- level sets ---------------------------------------------------------------
 
 _LEVELS = {}  # (base, carrier, term, label count) -> labeling mask
+_REACHES = {}  # (base, carrier, child tuple, label count) -> reach table
+_REACH_TABLES = {}  # reach table -> itself, so equal tables are one object
 
 
 def clear_caches():
-    """Empty every memo (levels, stock bases and term trees); intern tables
-    stay, so values keep their identity."""
-    for memo in (_LEVELS, _BORELS, terms._TREES):
+    """Empty every memo (levels, reach tables, stock bases and term trees);
+    intern tables stay, so values keep their identity."""
+    for memo in (_LEVELS, _REACHES, _REACH_TABLES, _BORELS, terms._TREES):
         memo.clear()
 
 
@@ -543,15 +546,18 @@ def _level(base, carrier, u, k):
     """The level of ``u`` over k labels (see `level_mask`) over ``base``
     traced on the mask ``carrier``; tracing commutes with shifts, so the DP
     reads every restricted level off ``base`` and its shifts.  A shift
-    chain reads its core's level over the base shifted by the chain's sum."""
+    chain reads its core's level over the base shifted by the chain's sum.
+    A branch takes its children's union DP from `_reach`, shared by every
+    branch over the same children, and ORs each reached set of labelings
+    with the root label's level on the residue of the union."""
     key = (base, carrier, u, k)
     if key in _LEVELS:
         return _LEVELS[key]
     n = base.space.n
     r = (1 << k ** n) - 1
     if isinstance(u, Shift):
-        # a forwarding entry, for Fo heads and shift-headed children: 1,243,487
-        # _level calls at the criterion-03 bounds with it, 1,435,985 without
+        # a forwarding entry, for Fo heads and shift-headed children: 754,869
+        # _level calls at the criterion-03 bounds with it, 885,103 without
         r = _level(base.shift(u.shift), carrier, u.core, k)
     elif isinstance(u, Const):
         if carrier & carrier - 1:
@@ -564,23 +570,36 @@ def _level(base, carrier, u, k):
     else:
         # the residue takes the level of the head, the branch's root label
         head, kids = terms._split(u)
-        # union of the children's sets so far -> labelings whose restriction
-        # to every chosen set lies in that child's level there
-        reach = {0: r}
-        level0 = {m & carrier for m in base.level0}
-        for kid in kids:
-            new = {}
-            for m in level0:
-                lv = _level(base, m, kid, k)
-                for un, s in reach.items():
-                    if s & lv:
-                        new[un | m] = new.get(un | m, 0) | s & lv
-            reach = new
         r = 0
-        for un, s in reach.items():
+        for un, s in _reach(base, carrier, kids, k):
             r |= s & _level(base, carrier & ~un, head, k)
     _LEVELS[key] = r
     return r
+
+
+def _reach(base, carrier, kids, k):
+    """The union DP of a branch's children ``kids`` on ``carrier``: sorted
+    pairs (union of the sets chosen for the children, labelings whose
+    restriction to every chosen set lies in that child's level there).
+    Each entry extends the one of ``kids[:-1]`` by the last child, and
+    equal tables are one object."""
+    key = (base, carrier, kids, k)
+    hit = _REACHES.get(key)
+    if hit is not None:
+        return hit
+    if kids:
+        new = {}
+        prev = _reach(base, carrier, kids[:-1], k)
+        for m in {m & carrier for m in base.level0}:
+            lv = _level(base, m, kids[-1], k)
+            for un, s in prev:
+                if s & lv:
+                    new[un | m] = new.get(un | m, 0) | s & lv
+        hit = tuple(sorted(new.items()))
+    else:
+        hit = ((0, (1 << k ** base.space.n) - 1),)
+    hit = _REACHES[key] = _REACH_TABLES.setdefault(hit, hit)
+    return hit
 
 
 def level_mask(space, qo, u, base=None):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -301,7 +302,8 @@ def test_clear_caches_empties_every_memo():
     u = T("Fq[0](s[1](Fq[1](0)))")
     member(QPartition(S, Q2, (0, 1)), u, borel(S))
     terms.term_tree(u)
-    memos = (hierarchy._LEVELS, hierarchy._BORELS, terms._TREES)
+    memos = (hierarchy._LEVELS, hierarchy._REACHES, hierarchy._REACH_TABLES,
+             hierarchy._BORELS, terms._TREES)
     assert all(memos)
     clear_caches()
     assert not any(memos)
@@ -376,6 +378,50 @@ def test_level_dp_splits_each_branch_entry_once(monkeypatch):
     branches = [key for key in hierarchy._LEVELS
                 if isinstance(key[2], (terms.Fq, terms.Fo))]
     assert splits == len(branches)
+
+
+def test_level_dp_extends_each_child_prefix_once(monkeypatch):
+    # the branches over one child tuple share its union DP, whatever their
+    # root label, and each table extends the one of its prefix by one child
+    real, extended = hierarchy._reach, []
+
+    def reach(base, carrier, kids, k):
+        if kids and (base, carrier, kids, k) not in hierarchy._REACHES:
+            extended.append((base, carrier, kids, k))
+        return real(base, carrier, kids, k)
+
+    monkeypatch.setattr(hierarchy, "_reach", reach)
+    clear_caches()
+    pool = list(enumerate_terms(2, 4, SUBS))
+    for space in enumerate_posets(3):
+        for u in pool:
+            level_mask(space, Q2, u)
+    assert len(extended) == len(set(extended))
+    assert set(extended) == {key for key in hierarchy._REACHES if key[2]}
+    branches = [(base, carrier, terms._split(u)[1], k)
+                for base, carrier, u, k in hierarchy._LEVELS
+                if isinstance(u, (terms.Fq, terms.Fo))]
+    assert all(key in hierarchy._REACHES for key in branches)
+    # a branch miss used to extend its own table by every child
+    assert len(extended) < sum(len(key[2]) for key in branches)
+    # equal tables are one object
+    tables = list(hierarchy._REACHES.values())
+    assert len({id(t) for t in tables}) == len(set(tables))
+
+
+def test_level_masks_match_their_pinned_digest():
+    # every level of the 2-label pool of at most 4 nodes, subscripts 0 and
+    # 1, on every poset of at most 4 points, as computed by the per-miss
+    # union DP before branches shared their children's tables
+    clear_caches()
+    digest = hashlib.sha256()
+    pool = list(enumerate_terms(2, 4, SUBS))
+    for n in range(5):
+        for space in enumerate_posets(n):
+            for u in pool:
+                digest.update(b"%x\n" % level_mask(space, Q2, u))
+    assert digest.hexdigest() == ("b6b74dcb9917b2d526a647d559b52bb2"
+                                  "ab0c93ee2cfbd6dd99ddd01c9e61ff69")
 
 
 def test_level_dp_shift_entry_is_its_core_over_the_shifted_base(monkeypatch):
