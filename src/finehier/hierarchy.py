@@ -569,10 +569,9 @@ def _level(base, carrier, u, k):
             r = r // ((1 << k * w) - 1) * ((1 << w) - 1 << u.q * w)
     else:
         # the residue takes the level of the head, the branch's root label
-        head, kids = terms._split(u)
         r = 0
-        for un, s in _reach(base, carrier, kids, k):
-            r |= s & _level(base, carrier & ~un, head, k)
+        for un, s in _reach(base, carrier, u.below, k):
+            r |= s & _level(base, carrier & ~un, u.head, k)
     _LEVELS[key] = r
     return r
 

@@ -19,14 +19,15 @@ independent oracle for it.  Three clauses involving branch terms are
 normalized to the tree-morphism semantics where their bound variable would
 otherwise be ambiguous; the cross-check suite adjudicates the reading.
 
-`TermOrder` decides the clauses set at a time: one bottom-up pass over a
-pool and its subterms builds, per term u, a big-int row holding every v
-with u <= v, so a comparison is a bit lookup.
+`TermOrder` decides the clauses set at a time: one walk numbers a pool
+and its subterms bottom-up, and the rows are then built, per term u, as
+big ints holding every v with u <= v, so a comparison is a bit lookup.
 
 Terms are immutable and interned: structurally equal terms are the same
 object, so they hash by identity and index the rows cheaply.  Each keeps
 its leading shift chain's ordinal sum and the term below it as ``shift``
-and ``core`` (0 and itself when it is no shift).
+and ``core`` (0 and itself when it is no shift).  A branch also keeps its
+root label and the children below the root as ``head`` and ``below``.
 """
 
 from __future__ import annotations
@@ -123,7 +124,8 @@ class _Branch:
 
 
 class Fq(_Branch):
-    __slots__ = ("q", "children", "nodes", "maxq", "shift", "core")
+    __slots__ = ("q", "children", "nodes", "maxq", "shift", "core", "head",
+                 "below")
     _table = {}
 
     def __new__(cls, q, children):
@@ -144,12 +146,14 @@ class Fq(_Branch):
         self.nodes = 1 + sum(c.nodes for c in children)
         self.maxq = max(q, *(c.maxq for c in children))
         self.shift, self.core = ZERO, self
+        self.head, self.below = Const(q), children
         cls._table[key] = self
         return self
 
 
 class Fo(_Branch):
-    __slots__ = ("alpha", "children", "nodes", "maxq", "shift", "core")
+    __slots__ = ("alpha", "children", "nodes", "maxq", "shift", "core",
+                 "head", "below")
     _table = {}
 
     def __new__(cls, alpha, children):
@@ -170,6 +174,7 @@ class Fo(_Branch):
         self.nodes = 1 + sum(c.nodes for c in children)
         self.maxq = max(c.maxq for c in children)
         self.shift, self.core = ZERO, self
+        self.head, self.below = Shift(alpha, children[0]), children[1:]
         cls._table[key] = self
         return self
 
@@ -244,38 +249,6 @@ def check_constants(u, qo):
                          f"quasiorder of size {qo.size}")
 
 
-def _split(u):
-    """The root label of a branch term and the children below it:
-    ``Const(q)`` over all children for ``Fq``, the shifted first child over
-    the rest for ``Fo``."""
-    if isinstance(u, Fq):
-        return Const(u.q), u.children
-    return Shift(u.alpha, u.children[0]), u.children[1:]
-
-
-def _closure(terms):
-    """The terms with their subterms and branch roots, as a dict from term
-    to bit position in which every term comes after its body, root and
-    children."""
-    index = {}
-    stack = [(t, False) for t in terms]
-    while stack:
-        t, ready = stack.pop()
-        if t in index:
-            continue
-        if ready:
-            index[t] = len(index)
-            continue
-        stack.append((t, True))
-        if isinstance(t, Shift):
-            stack.append((t.body, False))
-        elif not isinstance(t, Const):
-            root, below = _split(t)
-            stack.append((root, False))
-            stack.extend((c, False) for c in below)
-    return index
-
-
 def _ancestors(succ):
     """Per bit x, the mask of the bits that reach x along the successor
     lists ``succ`` (which point to earlier bits), x included."""
@@ -286,45 +259,46 @@ def _ancestors(succ):
     return anc
 
 
-def _closer(anc):
-    """`close_bits` over the ancestor masks ``anc``, closing each distinct
-    base once: the closed rows are kept per base for as long as the
-    returned function lives."""
-    closed = {}
-
-    def close(base):
-        row = closed.get(base)
-        if row is None:
-            row = closed[base] = close_bits(base, anc)
-        return row
-    return close
-
-
 def _rows(qo, terms):
-    """The comparison over the closure of ``terms``, set at a time: the bit
-    positions and, per position, the row of every v with u <= v.
+    """The comparison over the closure of ``terms`` under subterms and
+    branch roots, set at a time: the bit positions and, per position, the
+    row of every v with u <= v.
 
-    Each clause on u reads only the rows of u's body, root and children,
-    which come earlier.  The clauses that recurse on v -- sink into a child
-    of v, into v's root, or into the body of a shift with a smaller
-    subscript -- make the row the union of the ancestor masks, in the
-    successor graph for u's kind, of a base set decided by u's own clause.
-    Many terms share a base, so each closure table -- the constants', each
-    shift subscript's and the branches' -- closes each distinct base once.
-    A shift's base depends only on its subscript and body row, and a
-    branch's root part only on its root row: each is walked once.
+    One iterative walk gives every term its bit after those of its body,
+    root and children, and records its successors as it goes.  Each clause
+    on u reads only the rows of u's body, root and children, which come
+    earlier.  The clauses that recurse on v -- sink into a child of v, into
+    v's root, or into the body of a shift with a smaller subscript -- make
+    the row the union of the ancestor masks, in the successor graph for u's
+    kind, of a base set decided by u's own clause.  Many terms share a
+    base: a shift's depends only on its subscript and body row, and a
+    branch's root part only on its root row, so each is worked out once,
+    and the branches close each distinct base once.
     """
-    index = _closure(terms)
-    order = list(index)
-    for t in order:
-        check_constants(t, qo)
+    index, order = {}, []
     by_label = [0] * qo.size  # Const(q) and Fq(q, ...) per label q
     consts = branches = 0
     kids, below = [], []      # per bit: all children, children below the root
     root = {}                 # branch bit -> root bit
     with_root = {}            # root bit -> branches with that root
-    for i, t in enumerate(order):
+    stack = [(t, False) for t in terms]
+    while stack:
+        t, ready = stack.pop()
+        if t in index:
+            continue
+        if not ready:
+            stack.append((t, True))
+            if isinstance(t, Shift):
+                stack.append((t.body, False))
+            elif not isinstance(t, Const):
+                stack.append((t.head, False))
+                stack.extend((c, False) for c in t.below)
+            continue
+        i = index[t] = len(order)
+        order.append(t)
         if isinstance(t, Const):
+            # every constant of the closure is met here, Fq root labels too
+            check_constants(t, qo)
             by_label[t.q] |= 1 << i
             consts |= 1 << i
             kids.append(())
@@ -335,25 +309,24 @@ def _rows(qo, terms):
         else:
             if isinstance(t, Fq):
                 by_label[t.q] |= 1 << i
-            r, rest = _split(t)
-            r = root[i] = index[r]
+            r = root[i] = index[t.head]
             with_root[r] = with_root.get(r, 0) | 1 << i
             branches |= 1 << i
             kids.append(tuple(index[c] for c in t.children))
-            below.append(tuple(index[c] for c in rest))
+            below.append(tuple(index[c] for c in t.below))
     # constants read no other row, so their rows come first and their
     # ancestor table is gone before the others are built
     up = [0] * len(order)
-    close = _closer(_ancestors(kids))
+    anc = _ancestors(kids)
     for i in mask_points(consts):
         base = 0
         for q in range(qo.size):
             if qo.leq(order[i].q, q):
                 base |= by_label[q]
-        up[i] = close(base)
-    del close
+        up[i] = close_bits(base, anc)
+    del anc
     roots = sum(1 << r for r in with_root)
-    close_branch = _closer(_ancestors(below))
+    branch_anc, closed = _ancestors(below), {}  # closed: base -> its row
     shift_rules = {}
 
     def shift_rule(a):
@@ -373,8 +346,8 @@ def _rows(qo, terms):
                     else:
                         plain |= 1 << i
         # the last entry maps each body row met to the row of a shift over it
-        return (_closer(_ancestors(succ)), plain,
-                sum(1 << y for y in shift_of), shift_of, {})
+        return (_ancestors(succ), plain, sum(1 << y for y in shift_of),
+                shift_of, {})
 
     root_part = {}            # root row -> a branch's base before its children
     for i, u in enumerate(order):
@@ -384,14 +357,14 @@ def _rows(qo, terms):
             rule = shift_rules.get(u.alpha)
             if rule is None:
                 rule = shift_rules[u.alpha] = shift_rule(u.alpha)
-            close, plain, has_shift, shift_of, lifted = rule
+            anc, plain, has_shift, shift_of, lifted = rule
             body = up[kids[i][0]]
             row = lifted.get(body)
             if row is None:
                 base = body & plain
                 for y in mask_points(body & has_shift):
                     base |= 1 << shift_of[y]
-                row = lifted[body] = close(base)
+                row = lifted[body] = close_bits(base, anc)
             up[i] = row
         else:
             r = up[root[i]]
@@ -403,7 +376,10 @@ def _rows(qo, terms):
                 root_part[r] = base
             for c in below[i]:
                 base &= up[c]
-            up[i] = close_branch(base)
+            row = closed.get(base)
+            if row is None:
+                row = closed[base] = close_bits(base, branch_anc)
+            up[i] = row
     return index, up
 
 
@@ -430,8 +406,7 @@ class TermOrder:
     def leq(self, u, v):
         i, j = self.index.get(u), self.index.get(v)
         if i is None or j is None:
-            index, rows = _rows(self.qo, (u, v))
-            return bool(rows[index[u]] >> index[v] & 1)
+            return term_leq(self.qo, u, v)
         return bool(self.rows[i] >> j & 1)
 
 
@@ -460,8 +435,7 @@ def term_tree(u):
     if isinstance(u, (Const, Shift)):
         tree = _graft(u, ())
     else:
-        root, below = _split(u)
-        tree = _graft(root, [term_tree(c) for c in below])
+        tree = _graft(u.head, [term_tree(c) for c in u.below])
     _TREES[u] = tree
     return tree
 

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import sys
 
 import pytest
 
@@ -355,29 +356,35 @@ def test_level_dp_interns_no_restricted_base():
 
 def _shift_pool_levels(monkeypatch):
     """Fill the level memo for criterion 13's terms and their s[0] and s[1]
-    wrappers on the 3-chain; return how often the DP split a branch."""
+    wrappers on the 3-chain; return the keys on which `_level` ran the union
+    DP, that is read a branch's children's table from `_reach`."""
     pool = list(enumerate_terms(2, 3, SUBS))
     pool += [Shift(a, u) for a in SUBS for u in pool]
-    real, splits = terms._split, []
+    real, runs = hierarchy._reach, []
 
-    def split(u):
-        splits.append(u)
-        return real(u)
+    def reach(base, carrier, kids, k):
+        caller = sys._getframe(1)
+        if caller.f_code is hierarchy._level.__code__:
+            local = caller.f_locals
+            runs.append((local["base"], local["carrier"], local["u"], k))
+        return real(base, carrier, kids, k)
 
-    monkeypatch.setattr(terms, "_split", split)
+    monkeypatch.setattr(hierarchy, "_reach", reach)
     clear_caches()
     for u in pool:
         level_mask(CHAIN3, Q2, u)
-    return len(splits)
+    return runs
 
 
 def test_level_dp_splits_each_branch_entry_once(monkeypatch):
     # a shift chain reuses its core's entry, so the union DP runs once per
-    # entry keyed by a branch term and never for a shift-keyed one
-    splits = _shift_pool_levels(monkeypatch)
+    # entry keyed by a branch term, on that term's children below the root,
+    # and never for a shift-keyed one
+    runs = _shift_pool_levels(monkeypatch)
     branches = [key for key in hierarchy._LEVELS
                 if isinstance(key[2], (terms.Fq, terms.Fo))]
-    assert splits == len(branches)
+    assert len(runs) == len(set(runs)) == len(branches)
+    assert set(runs) == set(branches)
 
 
 def test_level_dp_extends_each_child_prefix_once(monkeypatch):
@@ -398,7 +405,7 @@ def test_level_dp_extends_each_child_prefix_once(monkeypatch):
             level_mask(space, Q2, u)
     assert len(extended) == len(set(extended))
     assert set(extended) == {key for key in hierarchy._REACHES if key[2]}
-    branches = [(base, carrier, terms._split(u)[1], k)
+    branches = [(base, carrier, u.below, k)
                 for base, carrier, u, k in hierarchy._LEVELS
                 if isinstance(u, (terms.Fq, terms.Fo))]
     assert all(key in hierarchy._REACHES for key in branches)

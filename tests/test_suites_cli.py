@@ -609,6 +609,21 @@ def test_cli_rejects_label_sweeps_without_two_labels(suite):
         SuiteConfig(suite=suite, max_q=1)
 
 
+def test_cli_check_hk_reports_the_labelings_no_small_term_reaches(capsys):
+    # one-node terms are constants, whose levels hold only the constant
+    # labelings, so every 2-point labeling with two labels lacks a witness
+    code, out, _ = run_cli(capsys, "check", "hk", "--max-nodes", "1",
+                           "--max-points", "2", "--max-q", "2")
+    assert code == 1
+    assert "checked: 10\nviolations: 4\n" in out
+    assert [line for line in out.splitlines()
+            if line.startswith("counterexample: ")] == [
+        f"counterexample: k=2 {space} {labels}: no witness term within 1 "
+        "nodes" for space in ("[a b;]", "[a b;a<b]")
+        for labels in ("{a:0,b:1}", "{a:1,b:0}")]
+    assert out.endswith("result: FAIL\n")
+
+
 def test_cli_check_defaults_are_the_config_defaults():
     args = build_parser().parse_args(["check", "fmap"])
     cfg = SuiteConfig(suite="fmap")

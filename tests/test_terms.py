@@ -297,6 +297,30 @@ def test_tables_are_pinned_byte_for_byte():
     assert len(order.index) == 7_990
 
 
+def test_branches_keep_their_root_label_and_lower_children():
+    for u in enumerate_terms(2, 4, SUBS):
+        if isinstance(u, Fq):
+            assert u.head is Const(u.q) and u.below is u.children
+        elif isinstance(u, Fo):
+            assert u.head is Shift(u.alpha, u.children[0])
+            assert u.below == u.children[1:]
+        else:
+            continue
+        tree = term_tree(u)
+        assert tree.labels[()] is u.head
+        assert sum(len(n) == 1 for n in tree.nodes) == len(u.below)
+
+
+def test_a_chain_past_the_recursion_limit_builds_a_table():
+    # the walk that numbers the closure is iterative
+    u = Const(0)
+    for _ in range(3000):
+        u = Shift(ZERO, u)
+    v = Fq(1, (u,))
+    order = TermOrder(Q2, [u, v])
+    assert order.leq(u, v) and not order.leq(v, u)
+
+
 def test_constants_outside_the_quasiorder():
     check_constants(T("Fq[1](0)"), Q2)
     for text in ("2", "Fq[2](0)", "s[0](Fo[1](0,3))"):
