@@ -28,8 +28,9 @@ from .hierarchy import (Base, borel, TFamily, components, reduce_tfamily,
                         level_has_reduction, UFamily, WHOLE, NotDetermined,
                         validate_family, family_eval, family_restrict,
                         family_reduct, family_pullback, family_pushforward,
-                        member, enumerate_families, level_mask, level_set,
-                        level_set_enum, InvalidFamilyError, NoReductError)
+                        member, enumerate_families, level_mask, level_masks,
+                        level_set, level_set_enum, InvalidFamilyError,
+                        NoReductError)
 from .suites import SuiteConfig, SuiteReport, run_suite, UnknownSuiteError
 
 __version__ = "0.1.0"

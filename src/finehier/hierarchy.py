@@ -17,20 +17,24 @@ components containing it -- at most one partition arises, and reduced
 families (pairwise disjoint siblings everywhere) always determine one.
 
 The *level* of a term over a base is the set of partitions some family
-determines.  ``level_mask`` computes it in one pass, as an int over all
-labelings by k labels in ``itertools.product(range(k), repeat=n)`` order
-(point 0 the most significant digit): a shift chain reads its core's
-level over the base shifted by the chain's sum, and a branch runs a DP
-over the unions of its children's level-0 sets, then needs the root
-constant or the shifted head's level on the residue; the DP does not read
-the root, so the branches over one child tuple share it.  ``member`` is a
-bit lookup; ``level_set_enum``, which evaluates every family, is the
-cross-oracle.
+determines.  ``level_masks`` computes it for a pool of terms, and
+``level_mask`` for one, as an int over all labelings by k labels in
+``itertools.product(range(k), repeat=n)`` order (point 0 the most
+significant digit).  The DP keeps one table per base and label count,
+with one row per carrier: a shift chain reads its core's level in the
+table of the base shifted by the chain's sum, a constant's level is the
+AND of its one-point levels, kept once per number of points and label
+count, and a branch runs a DP over the unions of its children's level-0
+sets, then needs the root constant or the shifted head's level on the
+residue; the DP does not read the root, so the branches over one child
+tuple share it.  ``member`` is a bit lookup; ``level_set_enum``, which
+evaluates every family, is the cross-oracle.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 
 from . import terms
@@ -40,7 +44,7 @@ from .quasiorder import json_list, json_node, json_object
 from .spaces import (QPartition, mask_points, points_mask, submasks,
                      cat_quantifier, is_cos, NotOpenSurjectionError,
                      DifferentSpacesError)
-from .terms import (Const, Shift, is_singleton, singleton_value, term_tree,
+from .terms import (Const, is_singleton, singleton_value, term_tree,
                     term_to_str, check_constants)
 
 __all__ = [
@@ -50,7 +54,7 @@ __all__ = [
     "InvalidFamilyError", "NoReductError",
     "validate_family", "family_eval", "family_restrict", "family_reduct",
     "family_pullback", "family_pushforward",
-    "member", "enumerate_families", "level_mask", "level_set",
+    "member", "enumerate_families", "level_mask", "level_masks", "level_set",
     "level_set_enum",
     "family_from_json", "family_to_json", "clear_caches",
 ]
@@ -96,7 +100,11 @@ class Base:
         for (t1, _), (t2, _) in zip(steps, steps[1:]):
             if ord_cmp(t1, t2) >= 0:
                 raise ValueError("thresholds must strictly increase")
+        # the power set is a lattice holding every complement: no checks
+        power = submasks(carrier)
         for _, lvl in steps:
+            if lvl == power:
+                continue
             lvls = set(lvl)
             if 0 not in lvls or carrier not in lvls:
                 raise ValueError("levels contain the empty set and the carrier")
@@ -107,12 +115,14 @@ class Base:
                     if (a | b) not in lvls or (a & b) not in lvls:
                         raise ValueError("levels are lattices of sets")
         for (_, l1), (_, l2) in zip(steps, steps[1:]):
+            if l2 == power:
+                continue
             l2s = set(l2)
             for a in l1:
                 if a not in l2s or (carrier & ~a) not in l2s:
                     raise ValueError("each level and its complements sit in "
                                      "every later level")
-        if steps[-1][1] != submasks(carrier):
+        if steps[-1][1] != power:
             raise ValueError("the final level must be the full power set")
         self = object.__new__(cls)
         self.space = space
@@ -522,15 +532,16 @@ def family_pushforward(f, F, u, base_source):
 
 # --- level sets ---------------------------------------------------------------
 
-_LEVELS = {}  # (base, carrier, term, label count) -> labeling mask
-_REACHES = {}  # (base, carrier, child tuple, label count) -> reach table
+_TABLES = {}  # (base, label count) -> its level table
+_CONSTS = {}  # (points, label count) -> carrier -> constant -> its level
 _REACH_TABLES = {}  # reach table -> itself, so equal tables are one object
 
 
 def clear_caches():
-    """Empty every memo (levels, reach tables, stock bases and term trees);
-    intern tables stay, so values keep their identity."""
-    for memo in (_LEVELS, _REACHES, _REACH_TABLES, _BORELS, terms._TREES):
+    """Empty every memo (level tables, constant levels, reach tables, stock
+    bases and term trees); intern tables stay, so values keep their
+    identity."""
+    for memo in (_TABLES, _CONSTS, _REACH_TABLES, _BORELS, terms._TREES):
         memo.clear()
 
 
@@ -542,76 +553,123 @@ def _index(values, k):
     return i
 
 
-def _level(base, carrier, u, k):
-    """The level of ``u`` over k labels (see `level_mask`) over ``base``
-    traced on the mask ``carrier``; tracing commutes with shifts, so the DP
-    reads every restricted level off ``base`` and its shifts.  A shift
-    chain reads its core's level over the base shifted by the chain's sum.
-    A branch takes its children's union DP from `_reach`, shared by every
-    branch over the same children, and ORs each reached set of labelings
-    with the root label's level on the residue of the union."""
-    key = (base, carrier, u, k)
-    if key in _LEVELS:
-        return _LEVELS[key]
-    n = base.space.n
-    r = (1 << k ** n) - 1
-    if isinstance(u, Shift):
-        # a forwarding entry, for Fo heads and shift-headed children: 754,869
-        # _level calls at the criterion-03 bounds with it, 885,103 without
-        r = _level(base.shift(u.shift), carrier, u.core, k)
-    elif isinstance(u, Const):
+class _Table:
+    """The level DP's memo for one base and label count: ``levels`` maps
+    carrier -> core term -> level, ``reaches`` carrier -> child tuple ->
+    reach table, ``traces`` a carrier to level 0 traced on it, ``shifts`` a
+    shift ordinal to the shifted base's table.  Constants' levels, which
+    do not depend on the base, sit in ``consts``, shared by every base with
+    as many points and labels."""
+
+    __slots__ = ("base", "k", "full", "consts", "levels", "reaches",
+                 "traces", "shifts")
+
+    def __init__(self, base, k):
+        n = base.space.n
+        self.base, self.k, self.full = base, k, (1 << k ** n) - 1
+        self.consts = _CONSTS.setdefault((n, k), defaultdict(dict))
+        self.levels, self.reaches = defaultdict(dict), defaultdict(dict)
+        self.traces, self.shifts = {}, {}
+
+
+def _table(base, k):
+    return _TABLES.get((base, k)) or _TABLES.setdefault((base, k),
+                                                        _Table(base, k))
+
+
+def _memo(table, u):
+    """The table that holds the level of ``u``'s core (for a shift chain,
+    the shifted base's) and the memo there, carrier -> core -> level."""
+    if u.core is not u:
+        table = table.shifts.get(u.shift) or table.shifts.setdefault(
+            u.shift, _table(table.base.shift(u.shift), table.k))
+    return table, table.consts if isinstance(u.core, Const) else table.levels
+
+
+def _level(table, memo, carrier, u):
+    """The level of the core term ``u`` over ``table``'s base traced on the
+    mask ``carrier``, stored in ``memo``.  Called on a miss only: every loop
+    reads hits inline.  A constant ANDs its one-point levels.  A branch takes
+    its children's union DP from the reach memo, shared by every branch over
+    the same children, and ORs each reached set of labelings with the root
+    label's level on the residue of the union."""
+    if isinstance(u, Const):
+        r = table.full
         if carrier & carrier - 1:
             for p in mask_points(carrier):
-                r &= _level(base, 1 << p, u, k)
+                one = memo[1 << p].get(u)
+                r &= _level(table, memo, 1 << p, u) if one is None else one
         elif carrier:
             # p's digit has weight w; the q-th w of each k * w labelings are q
-            w = k ** (n - carrier.bit_length())
-            r = r // ((1 << k * w) - 1) * ((1 << w) - 1 << u.q * w)
+            w = table.k ** (table.base.space.n - carrier.bit_length())
+            r = r // ((1 << table.k * w) - 1) * ((1 << w) - 1 << u.q * w)
     else:
+        tab = table.reaches[carrier].get(u.below)
+        if tab is None:
+            tab = _reach(table, carrier, u.below)
         # the residue takes the level of the head, the branch's root label
-        r = 0
-        for un, s in _reach(base, carrier, u.below, k):
-            r |= s & _level(base, carrier & ~un, u.head, k)
-    _LEVELS[key] = r
+        t2, hmemo = _memo(table, u.head)
+        head, r = u.head.core, 0
+        for un, s in tab:
+            h = hmemo[carrier & ~un].get(head)
+            if h is None:
+                h = _level(t2, hmemo, carrier & ~un, head)
+            r |= s & h
+    memo[carrier][u] = r
     return r
 
 
-def _reach(base, carrier, kids, k):
-    """The union DP of a branch's children ``kids`` on ``carrier``: sorted
-    pairs (union of the sets chosen for the children, labelings whose
-    restriction to every chosen set lies in that child's level there).
-    Each entry extends the one of ``kids[:-1]`` by the last child, and
-    equal tables are one object."""
-    key = (base, carrier, kids, k)
-    hit = _REACHES.get(key)
-    if hit is not None:
-        return hit
+def _reach(table, carrier, kids):
+    """The union DP of the children ``kids`` on ``carrier``, stored in the
+    reach memo; called on a miss only.  Sorted pairs (union of the sets
+    chosen for the children, labelings whose restriction to every chosen
+    set lies in that child's level there); each extends the table of
+    ``kids[:-1]`` by the last child, and equal tables are one object."""
+    row = table.reaches[carrier]
     if kids:
-        new = {}
-        prev = _reach(base, carrier, kids[:-1], k)
-        for m in {m & carrier for m in base.level0}:
-            lv = _level(base, m, kids[-1], k)
+        prev = row.get(kids[:-1])
+        if prev is None:
+            prev = _reach(table, carrier, kids[:-1])
+        traces = table.traces.get(carrier) or table.traces.setdefault(
+            carrier, tuple({m & carrier for m in table.base.level0}))
+        t2, memo = _memo(table, kids[-1])
+        kid, new = kids[-1].core, {}
+        for m in traces:
+            lv = memo[m].get(kid)
+            if lv is None:
+                lv = _level(t2, memo, m, kid)
             for un, s in prev:
                 if s & lv:
                     new[un | m] = new.get(un | m, 0) | s & lv
         hit = tuple(sorted(new.items()))
     else:
-        hit = ((0, (1 << k ** base.space.n) - 1),)
-    hit = _REACHES[key] = _REACH_TABLES.setdefault(hit, hit)
+        hit = ((0, table.full),)
+    hit = row[kids] = _REACH_TABLES.setdefault(hit, hit)
     return hit
 
 
-def level_mask(space, qo, u, base=None):
-    """The level of ``u`` over ``base`` (the stock base by default) as an
-    int: bit i is set when the i-th labeling, in the order of
-    ``itertools.product(range(qo.size), repeat=space.n)``, lies in the
+def level_masks(space, qo, pool, base=None):
+    """Per term of ``pool``, its level over ``base`` (the stock base by
+    default) as an int: bit i is set when the i-th labeling, in the order
+    of ``itertools.product(range(qo.size), repeat=space.n)``, lies in the
     level.  Labels of points outside the base's carrier never matter."""
     if base is None:
         base = borel(space)
     if space != base.space:
         raise DifferentSpacesError("the base lives on a different space")
-    check_constants(u, qo)
-    return _level(base, base.carrier, u, qo.size)
+    for u in pool:
+        check_constants(u, qo)
+    table, carrier, out = _table(base, qo.size), base.carrier, {}
+    for u in pool:
+        t2, memo = _memo(table, u)
+        r = memo[carrier].get(u.core)
+        out[u] = _level(t2, memo, carrier, u.core) if r is None else r
+    return out
+
+
+def level_mask(space, qo, u, base=None):
+    """The level of one term, as in `level_masks`."""
+    return level_masks(space, qo, (u,), base)[u]
 
 
 def member(A, u, base):

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from functools import cmp_to_key, reduce
 
 from . import hierarchy
-from .hierarchy import (borel, level_mask, family_eval, family_reduct,
-                        enumerate_families, NotDetermined)
+from .hierarchy import (borel, level_mask, level_masks, family_eval,
+                        family_reduct, enumerate_families, NotDetermined)
 from .labeled_trees import hom_rows
 from .ordinals import (Ordinal, ZERO, from_int, omega_power, ord_cmp,
                        ord_to_str, f_map, wadge_cmp, wadge_from_int,
@@ -132,12 +132,6 @@ def _partitions(space, qo):
     return tuple(itertools.product(range(qo.size), repeat=space.n))
 
 
-def _level_masks(space, qo, terms):
-    """Per term, its level over the stock base, indexed like `_partitions`."""
-    base = borel(space)
-    return {u: level_mask(space, qo, u, base) for u in terms}
-
-
 def _in_pool(order, terms, mask):
     """The terms of the pool ``terms`` whose bits in ``order`` are set in
     ``mask``, in pool order."""
@@ -203,7 +197,7 @@ def _suite_inclusion(cfg, rep):
         pool = sum(1 << order.index[u] for u in terms)
         rep.checked += len(spaces) * sum(
             (order.rows[order.index[u]] & pool).bit_count() for u in terms)
-        misses = [_misses(order, _level_masks(space, qo, terms))
+        misses = [_misses(order, level_masks(space, qo, terms))
                   for space in spaces]
         failing = set().union(*misses)
         # counterexamples in the order of a pairwise scan: u in pool order,
@@ -255,7 +249,7 @@ def _suite_wadge_closure(cfg, rep):
         for space in spaces:
             parts = _partitions(space, qo)
             below = _wadge_rows(space, qo)
-            masks = _level_masks(space, qo, terms)
+            masks = level_masks(space, qo, terms)
             # per distinct level, its first labeling i (ascending) with a
             # reduct outside the level, and the highest such reduct j
             escape = {ls: next(((i, bad.bit_length() - 1)
@@ -289,14 +283,20 @@ def _unpreserved(f, qo, xmasks, ymasks, terms):
     in u's level on the target differs from the bit of A o f in u's level
     on the source, in term and then labeling order; ``xmasks`` and
     ``ymasks`` map each term to its level on the source and on the target.
-    Each distinct source level is pulled back along ``f`` once."""
+    Each distinct source level is pulled back along ``f`` once, each
+    distinct pair of levels is compared once, and the terms are scanned
+    only when some pair differs."""
     parts = _partitions(f.dst, qo)
     pulled = [hierarchy._index([vals[y] for y in f.values], qo.size)
               for vals in parts]
     back = {m: sum(1 << i for i, p in enumerate(pulled) if m >> p & 1)
             for m in set(xmasks.values())}
+    diff = {pair: pair[1] ^ back[pair[0]]
+            for pair in {(xmasks[u], ymasks[u]) for u in terms}}
+    if not any(diff.values()):
+        return []
     return [(u, parts[i]) for u in terms
-            for i in mask_points(ymasks[u] ^ back[xmasks[u]])]
+            for i in mask_points(diff[xmasks[u], ymasks[u]])]
 
 
 def _suite_preservation(cfg, rep):
@@ -312,7 +312,7 @@ def _suite_preservation(cfg, rep):
         for name, f in maps:
             for space in (f.src, f.dst):
                 if space not in masks:
-                    masks[space] = _level_masks(space, qo, terms)
+                    masks[space] = level_masks(space, qo, terms)
             rep.checked += len(terms) * k ** f.dst.n
             for u, vals in _unpreserved(f, qo, masks[f.src], masks[f.dst],
                                         terms):

@@ -73,8 +73,8 @@ def test_c04_preservation():
     # within bounds, plus the 4-point product projection
     rep = _run(4, "continuous open surjections preserve level membership",
                suite="preservation", max_q=3, max_nodes=4, max_subscript=1,
-               max_points=4)
-    assert rep.checked == 2_423_423
+               max_points=5)
+    assert rep.checked == 12_366_078
 
 
 def test_c05_hk_exhaustion():

@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import sys
 
 import pytest
 
@@ -69,15 +68,31 @@ def test_restrict_examples():
 
 
 def test_base_validation():
-    with pytest.raises(ValueError):
-        Base(S, S.full, ((ONE, (0, S.full)),))  # first threshold must be 0
-    with pytest.raises(ValueError):
-        Base(S, S.full, ((ZERO, (0, 2, S.full)),))  # {b} lacks its complement later
+    # each malformed base raises its own message; the levels that are not
+    # the power set keep their checks
     D3 = discrete(3)
-    with pytest.raises(ValueError):
+    power = tuple(range(8))
+    cases = [
+        (S, S.full, ((ONE, (0, S.full)),), "the first threshold must be 0"),
+        (S, S.full, ((ZERO, (0, S.full)), (ONE, power[:4]), (ONE, power[:4])),
+         "thresholds must strictly increase"),
+        (S, S.full, ((ZERO, (0,)), (ONE, power[:4])),
+         "levels contain the empty set and the carrier"),
+        (S, 1, ((ZERO, (0, 1, 2, 3)),),
+         "level sets must lie inside the carrier"),
         # {a} | {b} is missing, so the first level is not a lattice
-        Base(D3, D3.full, ((ZERO, (0, 1, 2, D3.full)),
-                           (ONE, tuple(range(8)))))
+        (D3, D3.full, ((ZERO, (0, 1, 2, D3.full)), (ONE, power)),
+         "levels are lattices of sets"),
+        # {a} is missing from the next level, a lattice but no power set
+        (D3, D3.full, ((ZERO, (0, 1, D3.full)), (ONE, (0, 2, D3.full)),
+                       (from_int(2), power)),
+         "each level and its complements sit in every later level"),
+        (S, S.full, ((ZERO, (0, 2, S.full)),),
+         "the final level must be the full power set"),
+    ]
+    for space, carrier, steps, message in cases:
+        with pytest.raises(ValueError, match=message):
+            Base(space, carrier, steps)
 
 
 def test_base_json_round_trip():
@@ -303,7 +318,7 @@ def test_clear_caches_empties_every_memo():
     u = T("Fq[0](s[1](Fq[1](0)))")
     member(QPartition(S, Q2, (0, 1)), u, borel(S))
     terms.term_tree(u)
-    memos = (hierarchy._LEVELS, hierarchy._REACHES, hierarchy._REACH_TABLES,
+    memos = (hierarchy._TABLES, hierarchy._CONSTS, hierarchy._REACH_TABLES,
              hierarchy._BORELS, terms._TREES)
     assert all(memos)
     clear_caches()
@@ -327,6 +342,23 @@ def test_constant_levels_match_brute_force():
                                    if all(row[p] == q for p in points))
                         got = level_mask(space, antichain(k), Const(q), base)
                         assert got == want, (space, carrier, k, q)
+
+
+def test_a_constant_fills_only_the_carriers_it_is_asked_for():
+    # constant rows are filled per carrier, never for every one of the
+    # 2^16 carriers of the space
+    D16 = discrete(16)
+    clear_caches()
+    point = 1 << 5
+    base = Base(D16, point, ((ZERO, (0, point)),))
+    mask = level_mask(D16, Q2, Const(1), base)
+    # point 5's digit has weight 2^10 in itertools.product order
+    assert mask == sum(1 << i for i in range(2 ** 16) if i >> 10 & 1)
+    consts = hierarchy._CONSTS[16, 2]
+    assert sum(map(len, consts.values())) <= 2
+    # every base of a 16-point space reads the same constant levels
+    other = Base(D16, 1, ((ZERO, (0, 1)),))
+    assert hierarchy._table(other, 2).consts is consts
 
 
 def _omega_base(space):
@@ -354,37 +386,45 @@ def test_level_dp_interns_no_restricted_base():
     assert Base.__eq__ is object.__eq__
 
 
+def _entries(memo):
+    """(table, carrier, key) for every entry of the given memo
+    (``"levels"`` or ``"reaches"``) of every level table."""
+    return [(table, carrier, key)
+            for table in hierarchy._TABLES.values()
+            for carrier, row in getattr(table, memo).items()
+            for key in row]
+
+
 def _shift_pool_levels(monkeypatch):
-    """Fill the level memo for criterion 13's terms and their s[0] and s[1]
-    wrappers on the 3-chain; return the keys on which `_level` ran the union
-    DP, that is read a branch's children's table from `_reach`."""
+    """Fill the level tables for criterion 13's terms and their s[0] and
+    s[1] wrappers on the 3-chain; return the (table, memo, carrier, term)
+    of every `_level` call."""
     pool = list(enumerate_terms(2, 3, SUBS))
     pool += [Shift(a, u) for a in SUBS for u in pool]
-    real, runs = hierarchy._reach, []
+    real, runs = hierarchy._level, []
 
-    def reach(base, carrier, kids, k):
-        caller = sys._getframe(1)
-        if caller.f_code is hierarchy._level.__code__:
-            local = caller.f_locals
-            runs.append((local["base"], local["carrier"], local["u"], k))
-        return real(base, carrier, kids, k)
+    def level(table, memo, carrier, u):
+        runs.append((table, memo, carrier, u))
+        return real(table, memo, carrier, u)
 
-    monkeypatch.setattr(hierarchy, "_reach", reach)
+    monkeypatch.setattr(hierarchy, "_level", level)
     clear_caches()
-    for u in pool:
-        level_mask(CHAIN3, Q2, u)
+    hierarchy.level_masks(CHAIN3, Q2, pool)
     return runs
 
 
 def test_level_dp_splits_each_branch_entry_once(monkeypatch):
-    # a shift chain reuses its core's entry, so the union DP runs once per
-    # entry keyed by a branch term, on that term's children below the root,
-    # and never for a shift-keyed one
+    # hits are read inline, so `_level` runs once per entry it makes; a
+    # shift chain reads its core's entry, so the union DP runs once per
+    # entry of a branch term, and no entry is keyed by a shift chain or a
+    # constant, whose levels live in the shared constant memo
     runs = _shift_pool_levels(monkeypatch)
-    branches = [key for key in hierarchy._LEVELS
-                if isinstance(key[2], (terms.Fq, terms.Fo))]
-    assert len(runs) == len(set(runs)) == len(branches)
-    assert set(runs) == set(branches)
+    assert len({(id(memo), carrier, u)
+                for _, memo, carrier, u in runs}) == len(runs)
+    runs = [(table, carrier, u) for table, _, carrier, u in runs
+            if isinstance(u, (terms.Fq, terms.Fo))]
+    assert len(runs) == len(set(runs)) == len(_entries("levels"))
+    assert set(runs) == set(_entries("levels"))
 
 
 def test_level_dp_extends_each_child_prefix_once(monkeypatch):
@@ -392,28 +432,51 @@ def test_level_dp_extends_each_child_prefix_once(monkeypatch):
     # root label, and each table extends the one of its prefix by one child
     real, extended = hierarchy._reach, []
 
-    def reach(base, carrier, kids, k):
-        if kids and (base, carrier, kids, k) not in hierarchy._REACHES:
-            extended.append((base, carrier, kids, k))
-        return real(base, carrier, kids, k)
+    def reach(table, carrier, kids):
+        if kids:
+            extended.append((table, carrier, kids))
+        return real(table, carrier, kids)
 
     monkeypatch.setattr(hierarchy, "_reach", reach)
     clear_caches()
     pool = list(enumerate_terms(2, 4, SUBS))
     for space in enumerate_posets(3):
-        for u in pool:
-            level_mask(space, Q2, u)
+        hierarchy.level_masks(space, Q2, pool)
+    reaches = _entries("reaches")
     assert len(extended) == len(set(extended))
-    assert set(extended) == {key for key in hierarchy._REACHES if key[2]}
-    branches = [(base, carrier, u.below, k)
-                for base, carrier, u, k in hierarchy._LEVELS
+    assert set(extended) == {key for key in reaches if key[2]}
+    branches = [(table, carrier, u.below)
+                for table, carrier, u in _entries("levels")
                 if isinstance(u, (terms.Fq, terms.Fo))]
-    assert all(key in hierarchy._REACHES for key in branches)
+    assert set(branches) <= set(reaches)
     # a branch miss used to extend its own table by every child
     assert len(extended) < sum(len(key[2]) for key in branches)
     # equal tables are one object
-    tables = list(hierarchy._REACHES.values())
+    tables = [table.reaches[carrier][kids] for table, carrier, kids in reaches]
     assert len({id(t) for t in tables}) == len(set(tables))
+
+
+def test_pool_levels_are_the_per_term_levels():
+    pool = list(enumerate_terms(3, 3, SUBS))
+    for space in (S, CHAIN3, LAMBDA):
+        for base in (borel(space), borel(space).restrict(3),
+                     borel(space).shift(OMEGA)):
+            clear_caches()
+            masks = hierarchy.level_masks(space, Q3, pool, base)
+            assert list(masks) == pool
+            clear_caches()
+            assert masks == {u: level_mask(space, Q3, u, base) for u in pool}
+    # the pool form raises what the first failing term raises alone
+    for space, qo, pool in ((S, Q2, [T("0"), T("Fq[0](2)"), T("s[0](3)")]),
+                            (D2, Q2, [T("0")])):
+        errors = []
+        for form in (lambda: hierarchy.level_masks(space, qo, pool, borel(S)),
+                     lambda: [level_mask(space, qo, u, borel(S))
+                              for u in pool]):
+            with pytest.raises(ValueError) as exc:
+                form()
+            errors.append((type(exc.value), str(exc.value)))
+        assert errors[0] == errors[1]
 
 
 def test_level_masks_match_their_pinned_digest():
@@ -432,14 +495,18 @@ def test_level_masks_match_their_pinned_digest():
 
 
 def test_level_dp_shift_entry_is_its_core_over_the_shifted_base(monkeypatch):
-    _shift_pool_levels(monkeypatch)
-    shifts = [(key, r) for key, r in hierarchy._LEVELS.items()
-              if isinstance(key[2], Shift)]
-    assert shifts
-    for (base, carrier, u, k), r in shifts:
+    # the pool's shift chains, each read from its core's entry in the
+    # shifted base's table, filled by the pool itself
+    runs = _shift_pool_levels(monkeypatch)
+    shifts = [Shift(a, u) for a in SUBS for u in enumerate_terms(2, 3, SUBS)]
+    base, calls = borel(CHAIN3), len(runs)
+    for u in shifts:
+        r = level_mask(CHAIN3, Q2, u)
         dec = term_decompose(u)
-        core_key = (base.shift(dec.shift), carrier, dec.core, k)
-        assert hierarchy._LEVELS.get(core_key) == r, u
+        table = hierarchy._TABLES[base.shift(dec.shift), 2]
+        memo = table.consts if isinstance(dec.core, Const) else table.levels
+        assert memo[CHAIN3.full][dec.core] == r, u
+    assert len(runs) == calls  # every level was in the tables already
 
 
 def test_shift_headed_terms_are_read_without_a_decomposition(monkeypatch):

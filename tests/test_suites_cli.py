@@ -67,7 +67,7 @@ def test_inclusion_reports_a_planted_violation_like_a_pairwise_scan(
     # comparable pair (decided by the tree-map matcher) reports
     cfg = SuiteConfig(suite="inclusion", max_nodes=3, max_points=2, max_q=2)
     target, dropped = parse_term("Fq[0](1)"), 1  # the labeling a:0 b:0
-    real = suites._level_masks
+    real = suites.level_masks
 
     def planted(space, qo, terms):
         masks = real(space, qo, terms)
@@ -76,7 +76,7 @@ def test_inclusion_reports_a_planted_violation_like_a_pairwise_scan(
             masks[target] &= ~dropped
         return masks
 
-    monkeypatch.setattr(suites, "_level_masks", planted)
+    monkeypatch.setattr(suites, "level_masks", planted)
     rep = run_suite(cfg)
     qo, terms = antichain(2), suites._terms(cfg, 2)
     spaces = suites._spaces(cfg)
@@ -101,8 +101,8 @@ def test_inclusion_reports_a_planted_violation_like_a_pairwise_scan(
 def _plant(monkeypatch):
     """Drop the labelings a:0 b:0 and a:1 b:1 from every level on the
     2-point chain a<b, for the suites and for the scans that check them;
-    returns the planted `_level_masks`."""
-    real = suites._level_masks
+    returns the planted `level_masks`."""
+    real = suites.level_masks
 
     def planted(space, qo, terms):
         masks = real(space, qo, terms)
@@ -111,7 +111,7 @@ def _plant(monkeypatch):
             masks = {u: m & ~dropped for u, m in masks.items()}
         return masks
 
-    monkeypatch.setattr(suites, "_level_masks", planted)
+    monkeypatch.setattr(suites, "level_masks", planted)
     return planted
 
 
@@ -182,7 +182,7 @@ def test_preservation_computes_each_space_and_map_once(monkeypatch):
     # source, a target or the product projection's target; the maps once
     # per pair of spaces in the whole run
     levels, maps = Counter(), Counter()
-    real_levels, real_maps = suites._level_masks, suites.enum_cos
+    real_levels, real_maps = suites.level_masks, suites.enum_cos
 
     def counted_levels(space, qo, terms):
         levels[space, qo.size] += 1
@@ -192,7 +192,7 @@ def test_preservation_computes_each_space_and_map_once(monkeypatch):
         maps[X, Y] += 1
         return real_maps(X, Y)
 
-    monkeypatch.setattr(suites, "_level_masks", counted_levels)
+    monkeypatch.setattr(suites, "level_masks", counted_levels)
     monkeypatch.setattr(suites, "enum_cos", counted_maps)
     cfg = SuiteConfig(suite="preservation", max_nodes=2, max_points=3,
                       max_q=3)
